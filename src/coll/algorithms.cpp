@@ -1,25 +1,115 @@
-// Software collective schedules on the torus. Every function here
-// opens its own transport epoch (begin_data_op) sized to its exact
-// slot needs; slot indices are allocated in the same deterministic
-// order on every rank, which is what matches a sender's write to the
-// receiver's wait.
+// Software collective schedules on the torus. Every CollEngine
+// function here opens its own transport epoch (begin_data_op) sized to
+// its exact slot needs; slot indices are allocated in the same
+// deterministic order on every rank, which is what matches a sender's
+// write to the receiver's wait. The step functions shared with
+// NbcEngine (schedule.hpp) come first; their callers own the epochs.
 #include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "coll/coll.hpp"
+#include "coll/schedule.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::coll {
 
-namespace {
-int ceil_log2(int p) {
-  int rounds = 0;
-  while ((1 << rounds) < p) ++rounds;
-  return rounds;
+// ---------------------------------------------------------------------------
+// Schedules shared with NbcEngine (schedule.hpp)
+// ---------------------------------------------------------------------------
+
+bool bcast_binomial_step(Hops& hops, int p, int me, int root, std::size_t slot,
+                         std::byte* data, std::size_t bytes) {
+  const int vr = (me - root + p) % p;
+  int mask = 1;
+  while (mask < p && (vr & mask) == 0) mask <<= 1;
+  if (vr != 0) {
+    const std::byte* in = hops.recv(slot, bytes);
+    if (in == nullptr) return false;
+    std::memcpy(data, in, bytes);
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (vr + mask < p) hops.send((vr + mask + root) % p, slot, data, bytes);
+  }
+  return true;
 }
-}  // namespace
+
+Fold::Fold(int p) {
+  while (pof2 * 2 <= p) pof2 *= 2;
+  rem = p - pof2;
+}
+
+bool Fold::pre(Hops& hops, int me, double* x, std::size_t n, int* vr) const {
+  if (me >= 2 * rem) {
+    *vr = me - rem;
+  } else if (me % 2 == 1) {
+    hops.send(me - 1, 0, x, n * 8);
+    *vr = -1;
+  } else {
+    const auto* in = reinterpret_cast<const double*>(hops.recv(0, n * 8));
+    if (in == nullptr) return false;
+    for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
+    *vr = me / 2;
+  }
+  return true;
+}
+
+bool Fold::post(Hops& hops, int me, std::size_t slot, double* x,
+                std::size_t n) const {
+  if (me >= 2 * rem) return true;
+  if (me % 2 == 0) {
+    hops.send(me + 1, slot, x, n * 8);
+    return true;
+  }
+  const std::byte* in = hops.recv(slot, n * 8);
+  if (in == nullptr) return false;
+  std::memcpy(x, in, n * 8);
+  return true;
+}
+
+std::size_t allreduce_recdbl_slots(int p) {
+  return static_cast<std::size_t>(ceil_log2(Fold(p).pof2)) + 2;
+}
+
+bool allreduce_recdbl_step(Hops& hops, RecdblState& s, int p, int me, double* x,
+                           std::size_t n) {
+  const Fold fold(p);
+  const int rounds = ceil_log2(fold.pof2);
+  if (s.phase == 0) {
+    if (!fold.pre(hops, me, x, n, &s.vr)) return false;
+    s.phase = s.vr < 0 ? 2 : 1;
+  }
+  for (; s.phase == 1 && s.round < rounds; ++s.round, s.sent = false) {
+    const std::size_t slot = static_cast<std::size_t>(1 + s.round);
+    if (!s.sent) {
+      hops.send(fold.position(s.vr ^ (1 << s.round)), slot, x, n * 8);
+      s.sent = true;
+    }
+    const auto* in = reinterpret_cast<const double*>(hops.recv(slot, n * 8));
+    if (in == nullptr) return false;
+    for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
+  }
+  s.phase = 2;
+  return fold.post(hops, me, static_cast<std::size_t>(1 + rounds), x, n);
+}
+
+/// recv polls until the message lands, so every shared schedule step
+/// runs straight through in one call.
+class CollEngine::Blocking final : public Hops {
+ public:
+  explicit Blocking(CollEngine& e) : e_(e) {}
+  void send(int to, std::size_t slot, const void* data,
+            std::size_t bytes) override {
+    e_.send(to, slot, data, bytes);
+  }
+  const std::byte* recv(std::size_t slot, std::size_t bytes) override {
+    return e_.recv_wait(slot, bytes);
+  }
+
+ private:
+  CollEngine& e_;
+};
 
 // ---------------------------------------------------------------------------
 // Broadcast
@@ -27,21 +117,8 @@ int ceil_log2(int p) {
 
 void CollEngine::bcast_binomial(std::byte* data, std::size_t bytes, int root) {
   begin_data_op(bytes, 1);
-  const int p = geometry_.p, me = me_;
-  const int vr = (me - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (vr & mask) {
-      std::memcpy(data, recv_wait(0, bytes), bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < p) send((vr + mask + root) % p, 0, data, bytes);
-    mask >>= 1;
-  }
+  Blocking hops(*this);
+  bcast_binomial_step(hops, geometry_.p, me_, root, 0, data, bytes);
 }
 
 void CollEngine::bcast_ring(std::byte* data, std::size_t bytes, int root,
@@ -115,50 +192,10 @@ void CollEngine::reduce_binomial(double* x, std::size_t n, int root) {
 }
 
 void CollEngine::allreduce_recdbl(double* x, std::size_t n) {
-  const int p = geometry_.p, me = me_;
-  int pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  const int rem = p - pof2;
-  const int rounds = ceil_log2(pof2);
-  // Slots: 0 = pre-fold, 1+r = exchange rounds, 1+rounds = post-fold.
-  begin_data_op(n * 8, static_cast<std::size_t>(rounds) + 2);
-
-  // Non-power-of-two fold (MPICH): the first 2*rem ranks pair up; odd
-  // ranks lend their contribution to the even partner and sit out.
-  int vr;
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      send(me - 1, 0, x, n * 8);
-      vr = -1;
-    } else {
-      const auto* in = reinterpret_cast<const double*>(recv_wait(0, n * 8));
-      for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
-      vr = me / 2;
-    }
-  } else {
-    vr = me - rem;
-  }
-
-  if (vr >= 0) {
-    for (int r = 0; r < rounds; ++r) {
-      const int pvr = vr ^ (1 << r);
-      const int partner = pvr < rem ? pvr * 2 : pvr + rem;
-      send(partner, static_cast<std::size_t>(1 + r), x, n * 8);
-      const auto* in = reinterpret_cast<const double*>(
-          recv_wait(static_cast<std::size_t>(1 + r), n * 8));
-      // Partners compute a+b and b+a: bitwise equal, so all
-      // participants converge on one identical vector.
-      for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
-    }
-  }
-
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      send(me + 1, static_cast<std::size_t>(1 + rounds), x, n * 8);
-    } else {
-      std::memcpy(x, recv_wait(static_cast<std::size_t>(1 + rounds), n * 8), n * 8);
-    }
-  }
+  begin_data_op(n * 8, allreduce_recdbl_slots(geometry_.p));
+  Blocking hops(*this);
+  RecdblState state;
+  allreduce_recdbl_step(hops, state, geometry_.p, me_, x, n);
 }
 
 void CollEngine::allreduce_rab(double* x, std::size_t n) {
@@ -169,14 +206,13 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
   // bucket schedule cannot yet amortize (or cannot run at all). It is
   // also the flat fall-back the hierarchical leaders' group engine
   // picks up through its own selection table.
-  const int p = geometry_.p, me = me_;
-  int pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  const int rem = p - pof2;
+  const Fold fold(geometry_.p);
+  const int pof2 = fold.pof2;
   const int rounds = ceil_log2(pof2);
   // Slots: 0 = pre-fold, 1+r = halving rounds, 1+rounds+r = doubling
   // rounds, 1+2*rounds = post-fold.
   begin_data_op(n * 8, 2 * static_cast<std::size_t>(rounds) + 2);
+  Blocking hops(*this);
 
   // Chunk c spans [c*cap, (c+1)*cap) clipped to n. Both sides of every
   // exchange derive bounds from the shared capacity, so remainders
@@ -188,24 +224,9 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
     return std::min(static_cast<std::size_t>(c) * cap, n);
   };
 
-  // Non-power-of-two fold (MPICH), exactly as in recursive doubling:
-  // the first 2*rem ranks pair up; odd ranks lend their contribution
-  // to the even partner and sit out.
-  int vr;
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      send(me - 1, 0, x, n * 8);
-      vr = -1;
-    } else {
-      const auto* in = reinterpret_cast<const double*>(recv_wait(0, n * 8));
-      for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
-      vr = me / 2;
-    }
-  } else {
-    vr = me - rem;
-  }
-
-  auto wrank = [&](int v) { return v < rem ? v * 2 : v + rem; };
+  // Non-power-of-two fold (MPICH), exactly as in recursive doubling.
+  int vr = -1;
+  fold.pre(hops, me_, x, n, &vr);
 
   if (vr >= 0) {
     // Reduce-scatter by recursive halving: the live chunk window
@@ -224,7 +245,7 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
       const std::size_t sa = chunk_lo(slo), sb = chunk_lo(shi);
       const std::size_t ra = chunk_lo(rlo), rb = chunk_lo(rhi);
       const std::size_t slot = static_cast<std::size_t>(1 + r);
-      if (sb > sa) send(wrank(partner), slot, x + sa, (sb - sa) * 8);
+      if (sb > sa) send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
       if (rb > ra) {
         const auto* in =
             reinterpret_cast<const double*>(recv_wait(slot, (rb - ra) * 8));
@@ -246,21 +267,14 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
       const std::size_t sa = chunk_lo(slo), sb = chunk_lo(slo + mask);
       const std::size_t ra = chunk_lo(rlo), rb = chunk_lo(rlo + mask);
       const std::size_t slot = static_cast<std::size_t>(1 + rounds + r);
-      if (sb > sa) send(wrank(partner), slot, x + sa, (sb - sa) * 8);
+      if (sb > sa) send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
       if (rb > ra) {
         std::memcpy(x + ra, recv_wait(slot, (rb - ra) * 8), (rb - ra) * 8);
       }
     }
   }
 
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      send(me + 1, static_cast<std::size_t>(1 + 2 * rounds), x, n * 8);
-    } else {
-      std::memcpy(x, recv_wait(static_cast<std::size_t>(1 + 2 * rounds), n * 8),
-                  n * 8);
-    }
-  }
+  fold.post(hops, me_, static_cast<std::size_t>(1 + 2 * rounds), x, n);
 }
 
 void CollEngine::allreduce_ring(double* x, std::size_t n) {
@@ -406,22 +420,9 @@ void CollEngine::allgather_binomial(const std::byte* in, std::size_t bytes,
     ++r;
   }
   // Binomial broadcast of the full buffer from rank 0, slot `rounds`.
-  const std::size_t full = static_cast<std::size_t>(p) * bytes;
-  int bmask = 1;
-  while (bmask < p) {
-    if (me & bmask) {
-      std::memcpy(out, recv_wait(static_cast<std::size_t>(rounds), full), full);
-      break;
-    }
-    bmask <<= 1;
-  }
-  bmask >>= 1;
-  while (bmask > 0) {
-    if (me + bmask < p) {
-      send(me + bmask, static_cast<std::size_t>(rounds), out, full);
-    }
-    bmask >>= 1;
-  }
+  Blocking hops(*this);
+  bcast_binomial_step(hops, p, me, 0, static_cast<std::size_t>(rounds), out,
+                      static_cast<std::size_t>(p) * bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "fault/integrity.hpp"
-#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::coll {
@@ -33,11 +32,8 @@ constexpr int kTreeDownWord = 40;  // release signal (one per rank)
 constexpr int kRingTokenWord = 48;
 constexpr int kRingReleaseWord = 49;
 
-// Slot-checksum re-fetch bound: each re-fetch rides the (corruptible)
-// wire again, so with per-packet corruption probability q the chance
-// of exhausting the bound is q^16 — unreachable for any sane plan. A
-// payload still failing after this many fetches is a logic error.
-constexpr int kMaxSlotRefetches = 16;
+constexpr SlotNames kSlotNames{"collective slot", "coll hop", "coll hop recv",
+                               "coll slot refetch"};
 
 }  // namespace
 
@@ -64,10 +60,10 @@ class CollEngine::OpTimer {
         algo_(static_cast<int>(algo)),
         bytes_(bytes),
         t0_(e.comm_.now()) {
-    if (e_.trace_ != nullptr) {
-      e_.trace_->instant(e_.track_,
-                         std::string(op_name(op)) + "/" + algo_name(algo), t0_);
-      e_.trace_->begin_slice(e_.track_, t0_);
+    if (sim::TraceRecorder* trace = e_.slots_.trace()) {
+      trace->instant(e_.slots_.track(),
+                     std::string(op_name(op)) + "/" + algo_name(algo), t0_);
+      trace->begin_slice(e_.slots_.track(), t0_);
     }
   }
 
@@ -77,7 +73,7 @@ class CollEngine::OpTimer {
     ++s.count[op_][algo_];
     s.bytes[op_][algo_] += bytes_;
     s.time[op_][algo_] += t1 - t0_;
-    if (e_.trace_ != nullptr) e_.trace_->end_slice(e_.track_, t1);
+    if (sim::TraceRecorder* t = e_.slots_.trace()) t->end_slice(e_.slots_.track(), t1);
   }
 
   OpTimer(const OpTimer&) = delete;
@@ -107,7 +103,7 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
       config_(CollConfig::from_options(comm.options())),
       members_(std::move(members)),
       stats_(&comm.coll_stats()),
-      salt_(comm.next_coll_engine_salt()) {
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
   pami::Machine& machine = comm.world().machine();
   const topo::Torus5D& torus = machine.torus();
   const topo::RankMapping& map = machine.mapping();
@@ -122,10 +118,6 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   const fault::Injector* injector = machine.injector();
   geometry_.link_faults = injector != nullptr && injector->has_link_faults();
   geometry_.corruption = injector != nullptr && injector->plan().corrupt_prob > 0.0;
-  if (machine.integrity() != nullptr && machine.integrity()->config().coll_check) {
-    integrity_ = machine.integrity();
-    hdr_ = 32;
-  }
   if (!shrunk) {
     geometry_.ppn = map.ranks_per_node();
     geometry_.nodes = torus.num_nodes();
@@ -167,9 +159,9 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   if (!shared) shared = std::make_shared<HwShared>(p);
   hw_ = std::static_pointer_cast<HwShared>(shared);
 
-  if ((trace_ = machine.engine().trace()) != nullptr) {
-    track_ = trace_->register_track("coll/r" + std::to_string(me),
-                                    !machine.rank_traced(me));
+  if (sim::TraceRecorder* trace = machine.engine().trace()) {
+    slots_.attach_trace(trace, trace->register_track("coll/r" + std::to_string(me),
+                                                     !machine.rank_traced(me)));
   }
 
   // Collective: every rank constructs its engine at the same program
@@ -192,7 +184,7 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
       members_(spec.members),
       group_(true),
       label_(spec.label),
-      salt_(comm.next_coll_engine_salt()) {
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
   pami::Machine& machine = comm.world().machine();
   const topo::Torus5D& torus = machine.torus();
   const topo::RankMapping& map = machine.mapping();
@@ -209,10 +201,6 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
   const fault::Injector* injector = machine.injector();
   geometry_.link_faults = injector != nullptr && injector->has_link_faults();
   geometry_.corruption = injector != nullptr && injector->plan().corrupt_prob > 0.0;
-  if (machine.integrity() != nullptr && machine.integrity()->config().coll_check) {
-    integrity_ = machine.integrity();
-    hdr_ = 32;
-  }
 
   // Ring schedules survive grouping when the member set is an
   // axis-aligned box in (A..E coordinate, slot) space — the canonical
@@ -272,9 +260,10 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
 
   if (member_) {
     stats_ = &comm.group_coll_stats(label_);
-    if ((trace_ = machine.engine().trace()) != nullptr) {
-      track_ = trace_->register_track("grp/" + label_ + "/r" + std::to_string(me),
-                                      !machine.rank_traced(me));
+    if (sim::TraceRecorder* trace = machine.engine().trace()) {
+      slots_.attach_trace(
+          trace, trace->register_track("grp/" + label_ + "/r" + std::to_string(me),
+                                       !machine.rank_traced(me)));
     }
   } else {
     stats_ = &comm.coll_stats();  // never written: ops reject non-members
@@ -343,14 +332,14 @@ bool CollEngine::ensure_scratch(std::size_t data_bytes) {
 
 void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
   PGASQ_CHECK(n_slots > 0);
-  slot_bytes_ = hdr_ + ((slot_payload + 7) & ~std::size_t{7});
+  slot_bytes_ = slots_.hdr() + ((slot_payload + 7) & ~std::size_t{7});
   n_slots_ = n_slots;
   if (group_) {
     // Group epochs rendezvous over the control arena, never the
     // world-wide hardware barrier (non-members are elsewhere).
     ++epoch_;
     group_rendezvous();  // all previous-epoch traffic delivered
-    keep_retire();       // ... so no re-fetch can still target a stage
+    slots_.retire_stages();       // ... so no re-fetch can still target a stage
     const std::size_t need = slot_bytes_ * n_slots;
     if (data_cap_ < need) {
       group_grow(need);  // fresh zero-filled area; publish + rendezvous
@@ -367,7 +356,7 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
   const bool grew = ensure_scratch(slot_bytes_ * n_slots);
   ++epoch_;
   if (grew) {
-    keep_retire();  // the reallocation's rendezvous quiesced everything
+    slots_.retire_stages();  // the reallocation's rendezvous quiesced everything
     layout_ = slot_bytes_;
     return;  // the reallocation's own rendezvous isolated this epoch
   }
@@ -376,7 +365,7 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
     // from the old layout could alias the new flag positions. Quiesce,
     // wipe, and only then let anyone inject the new epoch.
     comm_.barrier_hw();
-    keep_retire();
+    slots_.retire_stages();
     std::memset(scratch_->local(comm_.rank()) + kBarrierBytes, 0,
                 scratch_->bytes_per_rank() - kBarrierBytes);
     comm_.barrier_hw();
@@ -387,7 +376,7 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
     // (retransmit backoff can delay its message arbitrarily). The
     // rendezvous guarantees all epoch-N traffic delivered first.
     comm_.barrier_hw();
-    keep_retire();
+    slots_.retire_stages();
   }
 }
 
@@ -454,88 +443,33 @@ std::byte* CollEngine::grow_local(std::byte*& buf, std::size_t& capacity,
   return buf;
 }
 
-void CollEngine::fill_header(std::byte* stage, const void* data,
-                             std::size_t bytes) {
-  std::memcpy(stage, &epoch_, 8);
-  if (hdr_ == 8) return;
-  const std::uint32_t crc = crc32c(data, bytes);
-  const std::uint32_t len = static_cast<std::uint32_t>(bytes);
-  const std::int32_t src = comm_.rank();
-  const std::int32_t pad = 0;
-  const std::uint64_t addr = reinterpret_cast<std::uint64_t>(stage + hdr_);
-  std::memcpy(stage + 8, &crc, 4);
-  std::memcpy(stage + 12, &len, 4);
-  std::memcpy(stage + 16, &src, 4);
-  std::memcpy(stage + 20, &pad, 4);
-  std::memcpy(stage + 24, &addr, 8);
-}
-
-std::byte* CollEngine::keep_alloc(std::size_t need) {
-  need = (need + 7) & ~std::size_t{7};
-  if (keep_blocks_.empty() || keep_blocks_.back().second - keep_used_ < need) {
-    std::size_t cap =
-        keep_blocks_.empty() ? std::size_t{16} * 1024 : keep_blocks_.back().second * 2;
-    while (cap < need) cap *= 2;
-    keep_blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(cap)), cap);
-    keep_used_ = 0;
-  }
-  std::byte* p = keep_blocks_.back().first + keep_used_;
-  keep_used_ += need;
-  return p;
-}
-
-void CollEngine::keep_retire() {
-  if (keep_blocks_.size() > 1) {
-    // Coalesce into one block covering everything the last epoch used,
-    // so steady state bump-allocates without fresh registrations.
-    std::size_t total = 0;
-    for (const auto& [ptr, cap] : keep_blocks_) {
-      total += cap;
-      comm_.free_local(ptr);
-    }
-    keep_blocks_.clear();
-    keep_blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(total)),
-                              total);
-  }
-  keep_used_ = 0;
-}
-
 void CollEngine::send(int to, std::size_t slot, const void* data,
                       std::size_t bytes) {
-  PGASQ_CHECK(slot < n_slots_ && bytes + hdr_ <= slot_bytes_);
+  const std::size_t hdr = slots_.hdr();
+  PGASQ_CHECK(slot < n_slots_ && bytes + hdr <= slot_bytes_);
   // Under slot checksums the stage is retained for the whole epoch so
   // the receiver can re-fetch a corrupted payload; otherwise the
   // reusable buffer suffices (the put snapshots it at injection).
-  std::byte* stage = hdr_ == 8 ? grow_local(send_buf_, send_cap_, 8 + bytes)
-                               : keep_alloc(hdr_ + bytes);
-  fill_header(stage, data, bytes);
-  if (bytes > 0) std::memcpy(stage + hdr_, data, bytes);
-  if (trace_ != nullptr) {
-    trace_->flow_point('s', track_, "coll hop", hop_flow_id(wrank(to), slot),
-                       comm_.now(), {{"bytes", std::to_string(bytes)},
-                                     {"to", "rank" + std::to_string(wrank(to))}});
-  }
+  std::byte* stage = hdr == 8 ? grow_local(send_buf_, send_cap_, 8 + bytes)
+                              : slots_.stage(bytes);
+  slots_.seal(stage, epoch_, data, bytes);
+  slots_.trace_send(wrank(to), epoch_, slot, bytes);
   // One put carries flag + payload: the simulator delivers it in a
   // single atomic copy, so a raised flag implies a complete payload.
-  comm_.put(stage, slot_remote(to, slot), hdr_ + bytes);
+  comm_.put(stage, slot_remote(to, slot), hdr + bytes);
 }
 
 void CollEngine::send_nb(int to, std::size_t slot, const void* data,
                          std::size_t bytes, std::byte* stage,
                          armci::Handle& handle) {
-  PGASQ_CHECK(slot < n_slots_ && bytes + hdr_ <= slot_bytes_);
-  fill_header(stage, data, bytes);
-  if (bytes > 0) std::memcpy(stage + hdr_, data, bytes);
-  if (trace_ != nullptr) {
-    trace_->flow_point('s', track_, "coll hop", hop_flow_id(wrank(to), slot),
-                       comm_.now(), {{"bytes", std::to_string(bytes)},
-                                     {"to", "rank" + std::to_string(wrank(to))}});
-  }
-  comm_.nb_put(stage, slot_remote(to, slot), hdr_ + bytes, handle);
+  PGASQ_CHECK(slot < n_slots_ && bytes + slots_.hdr() <= slot_bytes_);
+  slots_.seal(stage, epoch_, data, bytes);
+  slots_.trace_send(wrank(to), epoch_, slot, bytes);
+  comm_.nb_put(stage, slot_remote(to, slot), slots_.hdr() + bytes, handle);
 }
 
 const std::byte* CollEngine::recv_wait(std::size_t slot, std::size_t bytes) {
-  PGASQ_CHECK(slot < n_slots_ && bytes + hdr_ <= slot_bytes_);
+  PGASQ_CHECK(slot < n_slots_ && bytes + slots_.hdr() <= slot_bytes_);
   std::byte* base = slot_local(slot);
   const volatile std::uint64_t* flag =
       reinterpret_cast<const volatile std::uint64_t*>(base);
@@ -543,44 +477,7 @@ const std::byte* CollEngine::recv_wait(std::size_t slot, std::size_t bytes) {
   PGASQ_CHECK(*flag == epoch_,
               << "collective slot " << slot << " flagged epoch " << *flag
               << ", expected " << epoch_);
-  if (hdr_ != 8) {
-    // Slot checksum: flips can only land past the wire-protected
-    // prefix, i.e. in the payload — the header (and the epoch flag)
-    // always arrives intact, so a mismatch here is payload damage and
-    // the sender's retained stage still holds the clean bytes.
-    fault::IntegrityStats& is = integrity_->stats();
-    ++is.coll_slot_checks;
-    std::uint32_t want = 0, len = 0;
-    std::int32_t src = -1;
-    std::uint64_t addr = 0;
-    std::memcpy(&want, base + 8, 4);
-    std::memcpy(&len, base + 12, 4);
-    std::memcpy(&src, base + 16, 4);
-    std::memcpy(&addr, base + 24, 8);
-    PGASQ_CHECK(len == bytes, << "collective slot " << slot << " header claims "
-                              << len << " bytes, expected " << bytes);
-    int refetches = 0;
-    while (crc32c(base + hdr_, bytes) != want) {
-      ++is.coll_slot_rejects;
-      PGASQ_CHECK(++refetches <= kMaxSlotRefetches,
-                  << "collective slot " << slot << " payload failed its CRC "
-                  << refetches << " times (re-fetched from rank " << src
-                  << "); giving up");
-      ++is.coll_slot_refetches;
-      if (trace_ != nullptr) {
-        trace_->instant(track_, "coll slot refetch", comm_.now());
-      }
-      // The re-fetch rides the wire too and may itself be corrupted;
-      // the loop re-verifies until the payload lands clean.
-      comm_.get({src, reinterpret_cast<std::byte*>(addr)}, base + hdr_, bytes);
-    }
-  }
-  if (trace_ != nullptr) {
-    trace_->flow_point('f', track_, "coll hop recv",
-                       hop_flow_id(comm_.rank(), slot), comm_.now(),
-                       {{"bytes", std::to_string(bytes)}});
-  }
-  return base + hdr_;
+  return slots_.open(base, epoch_, slot, bytes);
 }
 
 void CollEngine::put_word(int to, int word, std::uint64_t value) {
@@ -599,10 +496,14 @@ void CollEngine::wait_word(int word, std::uint64_t at_least) {
 // Barrier schedules
 // ---------------------------------------------------------------------------
 
-void CollEngine::barrier() {
+void CollEngine::require_member() const {
   PGASQ_CHECK(!group_ || member_,
               << "rank " << comm_.rank() << " is not a member of group '"
               << label_ << "': collective call rejected");
+}
+
+void CollEngine::barrier() {
+  require_member();
   const Algo algo = config_.choose(Op::kBarrier, 0, geometry_);
   OpTimer timer(*this, Op::kBarrier, algo, 0);
   run_barrier(algo);
@@ -750,9 +651,7 @@ void CollEngine::hw_reduce_sum(double* x, std::size_t n, int root, bool all) {
 // ---------------------------------------------------------------------------
 
 void CollEngine::broadcast(void* data, std::size_t bytes, armci::RankId root) {
-  PGASQ_CHECK(!group_ || member_,
-              << "rank " << comm_.rank() << " is not a member of group '"
-              << label_ << "': collective call rejected");
+  require_member();
   PGASQ_CHECK(data != nullptr && bytes > 0 && root >= 0 && root < geometry_.p);
   if (geometry_.p == 1) return;
   const Algo algo = config_.choose(Op::kBroadcast, bytes, geometry_);
@@ -782,9 +681,7 @@ void CollEngine::broadcast_with(Algo algo, std::byte* d, std::size_t bytes,
 }
 
 void CollEngine::reduce_sum(double* x, std::size_t n, armci::RankId root) {
-  PGASQ_CHECK(!group_ || member_,
-              << "rank " << comm_.rank() << " is not a member of group '"
-              << label_ << "': collective call rejected");
+  require_member();
   PGASQ_CHECK(x != nullptr && n > 0 && root >= 0 && root < geometry_.p);
   if (geometry_.p == 1) return;
   const Algo algo = config_.choose(Op::kReduce, n * 8, geometry_);
@@ -808,9 +705,7 @@ void CollEngine::reduce_sum(double* x, std::size_t n, armci::RankId root) {
 }
 
 void CollEngine::allreduce_sum(double* x, std::size_t n) {
-  PGASQ_CHECK(!group_ || member_,
-              << "rank " << comm_.rank() << " is not a member of group '"
-              << label_ << "': collective call rejected");
+  require_member();
   PGASQ_CHECK(x != nullptr && n > 0);
   if (geometry_.p == 1) return;
   const Algo algo = config_.choose(Op::kAllreduce, n * 8, geometry_);
@@ -841,9 +736,7 @@ void CollEngine::allreduce_sum(double* x, std::size_t n) {
 }
 
 void CollEngine::allgather(const void* in, std::size_t bytes, void* out) {
-  PGASQ_CHECK(!group_ || member_,
-              << "rank " << comm_.rank() << " is not a member of group '"
-              << label_ << "': collective call rejected");
+  require_member();
   PGASQ_CHECK(in != nullptr && out != nullptr && bytes > 0);
   auto* o = static_cast<std::byte*>(out);
   const auto* i = static_cast<const std::byte*>(in);
@@ -872,9 +765,7 @@ void CollEngine::allgather(const void* in, std::size_t bytes, void* out) {
 }
 
 void CollEngine::alltoall(const void* in, std::size_t bytes, void* out) {
-  PGASQ_CHECK(!group_ || member_,
-              << "rank " << comm_.rank() << " is not a member of group '"
-              << label_ << "': collective call rejected");
+  require_member();
   PGASQ_CHECK(in != nullptr && out != nullptr && bytes > 0);
   auto* o = static_cast<std::byte*>(out);
   const auto* i = static_cast<const std::byte*>(in);

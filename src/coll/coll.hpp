@@ -38,12 +38,9 @@
 #include <vector>
 
 #include "coll/selection.hpp"
+#include "coll/slot.hpp"
 #include "core/comm.hpp"
 #include "sim/trace.hpp"
-
-namespace pgasq::fault {
-class Integrity;
-}  // namespace pgasq::fault
 
 namespace pgasq::coll {
 
@@ -169,42 +166,22 @@ class CollEngine {
   std::byte* slot_local(std::size_t slot);
   void send(int to, std::size_t slot, const void* data, std::size_t bytes);
   /// Non-blocking send for all-to-all overlap; `stage` must stay live
-  /// (hdr_ + bytes capacity) until the next epoch's rendezvous — under
+  /// (hdr() + bytes capacity) until the next epoch's rendezvous — under
   /// slot checksums the receiver may re-fetch the payload from it.
   void send_nb(int to, std::size_t slot, const void* data, std::size_t bytes,
                std::byte* stage, armci::Handle& handle);
   /// Blocks until this epoch's message lands in `slot`; returns its
-  /// payload (valid until the next invocation). Under slot checksums
-  /// (integrity + coll_check) a payload failing its header CRC is
-  /// re-fetched from the sender's retained stage until it verifies.
+  /// payload (valid until the next invocation), verified and repaired
+  /// under slot checksums (SlotTransport::open).
   const std::byte* recv_wait(std::size_t slot, std::size_t bytes);
-  /// Fills a slot-message header at `stage` (epoch, and under slot
-  /// checksums the payload CRC / length / my world rank / the remote
-  /// address of the retained payload at stage + hdr_).
-  void fill_header(std::byte* stage, const void* data, std::size_t bytes);
-  /// Bump-allocates a retained send stage for the open epoch; the
-  /// block lives until the next epoch's rendezvous retires it
-  /// (keep_retire), so receivers can re-fetch rejected payloads.
-  std::byte* keep_alloc(std::size_t need);
-  void keep_retire();
+  /// The schedule hop interface (schedule.hpp) over send / recv_wait.
+  class Blocking;
+  /// Aborts unless this engine is a member of its group.
+  void require_member() const;
 
   // Barrier-word transport (fixed region at the base of the arena).
   void put_word(int to, int word, std::uint64_t value);
   void wait_word(int word, std::uint64_t at_least);
-
-  /// Causal-trace id for the schedule hop delivering into `slot` of
-  /// world rank `recv_wrank` this epoch. Sender and receiver compute
-  /// the same id independently (no extra wire state), so Perfetto can
-  /// pair the 's' at send time with the 'f' at recv_wait. High-bit
-  /// tagged to stay disjoint from TraceRecorder's sequential ids; the
-  /// per-engine salt keeps concurrent engines (world + group) from
-  /// aliasing each other's ids.
-  std::uint64_t hop_flow_id(int recv_wrank, std::size_t slot) const {
-    return (1ULL << 63) | ((salt_ & 0xFFULL) << 55) |
-           ((epoch_ & 0x1FFFFULL) << 38) |
-           ((static_cast<std::uint64_t>(slot) & 0x3FFFFULL) << 20) |
-           static_cast<std::uint64_t>(recv_wrank);
-  }
 
   // Barrier schedules (coll.cpp).
   void run_barrier(Algo algo);
@@ -293,10 +270,6 @@ class CollEngine {
   /// Where OpTimer accounts this engine's ops: the world CollStats, or
   /// the per-group table keyed by label_.
   armci::CollStats* stats_ = nullptr;
-  /// Flow-id salt: per-Comm engine creation sequence (identical on
-  /// every rank — engines are constructed collectively).
-  std::uint64_t salt_ = 0;
-
   // Hierarchy children, built lazily at the first hier-selected
   // collective (a collective point, so construction lines up).
   std::unique_ptr<CollEngine> hier_node_;
@@ -306,21 +279,10 @@ class CollEngine {
   std::size_t layout_ = 0;  ///< slot_bytes the arena is currently keyed to
   std::size_t slot_bytes_ = 0;
   std::size_t n_slots_ = 0;
-  /// Slot-message header width: 8 (epoch flag only), or 32 when the
-  /// integrity layer's slot checksums are on — [epoch u64]
-  /// [payload crc32c u32 | payload bytes u32] [src world rank i32 |
-  /// pad] [remote address of the sender's retained payload u64]. Bit
-  /// flips land past the wire-protected prefix, which covers the whole
-  /// header, so the epoch flag and CRC themselves are never corrupted.
-  std::size_t hdr_ = 8;
-  /// Integrity layer when slot checksums are active, else nullptr.
-  fault::Integrity* integrity_ = nullptr;
-  /// Retained send stages (keep_alloc) for the open epoch: blocking
-  /// sends stage here instead of the reusable send_buf_ so a receiver
-  /// can re-fetch a corrupted slot payload. Freed-and-coalesced at the
-  /// next epoch's rendezvous, when no re-fetch can still be pending.
-  std::vector<std::pair<std::byte*, std::size_t>> keep_blocks_;
-  std::size_t keep_used_ = 0;
+  /// Slot codec, retained-stage pool and trace track. Stages retire at
+  /// each epoch's rendezvous and are never freed, so straggler
+  /// re-fetches after a rebuild_shrunk still read live memory.
+  SlotTransport slots_;
   std::uint64_t epoch_ = 0;       ///< flag value of the open invocation
   std::uint64_t barrier_seq_ = 0; ///< software-barrier flag value
   bool in_alloc_ = false;  ///< inside malloc/free_collective: the
@@ -334,9 +296,6 @@ class CollEngine {
   std::size_t send_cap_ = 0;
   std::byte* stage_all_ = nullptr;
   std::size_t stage_cap_ = 0;
-
-  sim::TraceRecorder* trace_ = nullptr;
-  std::uint32_t track_ = 0;
 };
 
 }  // namespace pgasq::coll

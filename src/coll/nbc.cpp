@@ -6,9 +6,8 @@
 #include <cstring>
 #include <string>
 
-#include "fault/integrity.hpp"
+#include "coll/schedule.hpp"
 #include "pami/machine.hpp"
-#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::coll {
@@ -16,13 +15,8 @@ namespace pgasq::coll {
 namespace {
 
 constexpr std::size_t kInitialArenaBytes = 64 * 1024;
-constexpr int kMaxSlotRefetches = 16;
-
-int ceil_log2(int p) {
-  int rounds = 0;
-  while ((1 << rounds) < p) ++rounds;
-  return rounds;
-}
+constexpr SlotNames kSlotNames{"nbc slot", "nbc hop", "nbc hop recv",
+                               "nbc slot refetch"};
 
 }  // namespace
 
@@ -45,8 +39,8 @@ struct NbcEngine::Op {
   armci::Handle sends;  ///< aggregates every hop this op injected
   bool schedule_done = false;
 
-  int phase = 0;      ///< algorithm sub-phase
-  int round = 0;      ///< current exchange round
+  // ibarrier.
+  int round = 0;      ///< current dissemination round
   bool sent = false;  ///< current round's send already issued
   int rounds = 0;
 
@@ -55,10 +49,10 @@ struct NbcEngine::Op {
   std::size_t bytes = 0;
   int root = 0;
 
-  // iallreduce (mirrors allreduce_recdbl's fold bookkeeping).
+  // iallreduce.
   double* x = nullptr;
   std::size_t n = 0;
-  int vr = 0, pof2 = 1, rem = 0;
+  RecdblState recdbl;
 
   std::uint64_t flag() const {
     return (seq << 4) | static_cast<std::uint64_t>(kind);
@@ -90,16 +84,12 @@ NbcEngine::NbcEngine(armci::Comm& comm)
       rt_(async::Runtime::of(comm)),
       p_(comm.nprocs()),
       me_(comm.rank()),
-      salt_(comm.next_coll_engine_salt()) {
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
   pami::Machine& machine = comm.world().machine();
-  if (machine.integrity() != nullptr &&
-      machine.integrity()->config().coll_check) {
-    integrity_ = machine.integrity();
-    hdr_ = 32;
-  }
-  if ((trace_ = machine.engine().trace()) != nullptr) {
-    track_ = trace_->register_track("coll-nbc/r" + std::to_string(me_),
-                                    !machine.rank_traced(me_));
+  if (sim::TraceRecorder* trace = machine.engine().trace()) {
+    slots_.attach_trace(trace,
+                        trace->register_track("coll-nbc/r" + std::to_string(me_),
+                                              !machine.rank_traced(me_)));
   }
   if ((timeline_ = machine.timeline()) != nullptr) {
     open_series_ =
@@ -113,8 +103,7 @@ NbcEngine::~NbcEngine() {
   // runtime's finalize quiescence check turns them into a diagnostic
   // abort. Never throw from here.
   rt_.unregister_poller(poller_id_);
-  for (auto& [ptr, cap] : keep_blocks_) comm_.free_local(ptr);
-  keep_blocks_.clear();
+  slots_.release_stages();
 }
 
 // ---------------------------------------------------------------------------
@@ -125,7 +114,8 @@ void NbcEngine::ensure_arena(std::size_t need) {
   std::size_t cap = kInitialArenaBytes;
   while (cap < need) cap *= 2;
   // Collective and zero-filled: every rank allocates at its first nbc
-  // initiation, which the collective-initiation contract aligns.
+  // initiation (and at a growing wrap), which the collective-initiation
+  // contract aligns.
   arena_ = &comm_.malloc_collective(cap);
   cap_ = cap;
 }
@@ -140,21 +130,18 @@ void NbcEngine::wrap(std::size_t need) {
   comm_.barrier_hw();
   if (need > cap_) {
     comm_.free_collective(*arena_);
-    std::size_t cap = cap_;
-    while (cap < need) cap *= 2;
-    arena_ = &comm_.malloc_collective(cap);  // fresh zero-filled slab
-    cap_ = cap;
+    ensure_arena(need);  // fresh zero-filled slab
   } else {
     std::memset(arena_->local(me_), 0, cap_);
     comm_.barrier_hw();  // nobody injects the new cycle into a mid-wipe peer
   }
-  keep_retire();  // no re-fetch can target a stage past the rendezvous
+  slots_.retire_stages();  // no re-fetch can target a stage past the rendezvous
   cursor_ = 0;
 }
 
 void NbcEngine::open_slots(Op& op, std::size_t slots, std::size_t payload) {
   op.payload = payload;
-  op.pitch = hdr_ + ((payload + 7) & ~std::size_t{7});
+  op.pitch = slots_.hdr() + ((payload + 7) & ~std::size_t{7});
   const std::size_t need = op.pitch * slots;
   if (arena_ == nullptr) {
     ensure_arena(need);
@@ -165,35 +152,6 @@ void NbcEngine::open_slots(Op& op, std::size_t slots, std::size_t payload) {
   cursor_ += need;
 }
 
-std::byte* NbcEngine::keep_alloc(std::size_t need) {
-  need = (need + 7) & ~std::size_t{7};
-  if (keep_blocks_.empty() || keep_blocks_.back().second - keep_used_ < need) {
-    std::size_t cap =
-        keep_blocks_.empty() ? std::size_t{16} * 1024 : keep_blocks_.back().second * 2;
-    while (cap < need) cap *= 2;
-    keep_blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(cap)),
-                              cap);
-    keep_used_ = 0;
-  }
-  std::byte* p = keep_blocks_.back().first + keep_used_;
-  keep_used_ += need;
-  return p;
-}
-
-void NbcEngine::keep_retire() {
-  if (keep_blocks_.size() > 1) {
-    std::size_t total = 0;
-    for (const auto& [ptr, cap] : keep_blocks_) {
-      total += cap;
-      comm_.free_local(ptr);
-    }
-    keep_blocks_.clear();
-    keep_blocks_.emplace_back(
-        static_cast<std::byte*>(comm_.malloc_local(total)), total);
-  }
-  keep_used_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Hop transport
 // ---------------------------------------------------------------------------
@@ -201,34 +159,14 @@ void NbcEngine::keep_retire() {
 void NbcEngine::send_hop(Op& op, int to, std::size_t slot, const void* data,
                          std::size_t bytes) {
   PGASQ_CHECK(bytes <= op.payload);
-  std::byte* stage = keep_alloc(hdr_ + bytes);
-  if (bytes > 0) std::memcpy(stage + hdr_, data, bytes);
-  const std::uint64_t flag = op.flag();
-  std::memcpy(stage, &flag, 8);
-  if (hdr_ != 8) {
-    const std::uint32_t crc = crc32c(stage + hdr_, bytes);
-    const std::uint32_t len = static_cast<std::uint32_t>(bytes);
-    const std::int32_t src = me_;
-    const std::int32_t pad = 0;
-    const std::uint64_t addr = reinterpret_cast<std::uint64_t>(stage + hdr_);
-    std::memcpy(stage + 8, &crc, 4);
-    std::memcpy(stage + 12, &len, 4);
-    std::memcpy(stage + 16, &src, 4);
-    std::memcpy(stage + 20, &pad, 4);
-    std::memcpy(stage + 24, &addr, 8);
-  }
-  if (trace_ != nullptr) {
-    trace_->flow_point('s', track_, "nbc hop", hop_flow_id(to, op.seq, slot),
-                       comm_.now(),
-                       {{"bytes", std::to_string(bytes)},
-                        {"to", "rank" + std::to_string(to)},
-                        {"op", op.name()}});
-  }
+  std::byte* stage = slots_.stage(bytes);
+  slots_.seal(stage, op.flag(), data, bytes);
+  slots_.trace_send(to, op.seq, slot, bytes, op.name());
   // One put carries flag + payload, delivered atomically, so a raised
   // flag implies a complete payload. The op's handle aggregates every
   // hop; completion requires them locally drained.
-  comm_.nb_put(stage, arena_->at(to, op.base + slot * op.pitch), hdr_ + bytes,
-               op.sends);
+  comm_.nb_put(stage, arena_->at(to, op.base + slot * op.pitch),
+               slots_.hdr() + bytes, op.sends);
   ++hops_sent_;
 }
 
@@ -244,41 +182,26 @@ const std::byte* NbcEngine::hop_payload(Op& op, std::size_t slot,
               << " holds flag " << got << ", expected " << op.flag()
               << " — ranks initiated different non-blocking collective "
                  "sequences (divergence)");
-  if (hdr_ != 8) {
-    fault::IntegrityStats& is = integrity_->stats();
-    ++is.coll_slot_checks;
-    std::uint32_t want = 0, len = 0;
-    std::int32_t src = -1;
-    std::uint64_t addr = 0;
-    std::memcpy(&want, base + 8, 4);
-    std::memcpy(&len, base + 12, 4);
-    std::memcpy(&src, base + 16, 4);
-    std::memcpy(&addr, base + 24, 8);
-    PGASQ_CHECK(len == bytes, << "nbc slot " << slot << " header claims "
-                              << len << " bytes, expected " << bytes);
-    int refetches = 0;
-    while (crc32c(base + hdr_, bytes) != want) {
-      ++is.coll_slot_rejects;
-      PGASQ_CHECK(++refetches <= kMaxSlotRefetches,
-                  << "nbc slot " << slot << " payload failed its CRC "
-                  << refetches << " times (re-fetched from rank " << src
-                  << "); giving up");
-      ++is.coll_slot_refetches;
-      if (trace_ != nullptr) {
-        trace_->instant(track_, "nbc slot refetch", comm_.now());
-      }
-      // Blocking, but bounded and rare; the re-fetch rides the wire
-      // too, so re-verify until clean.
-      comm_.get({src, reinterpret_cast<std::byte*>(addr)}, base + hdr_, bytes);
-    }
-  }
-  if (trace_ != nullptr) {
-    trace_->flow_point('f', track_, "nbc hop recv",
-                       hop_flow_id(me_, op.seq, slot), comm_.now(),
-                       {{"bytes", std::to_string(bytes)}});
-  }
-  return base + hdr_;
+  return slots_.open(base, op.seq, slot, bytes);
 }
+
+/// One op's side of the schedule hop interface: recv never blocks, so
+/// a shared schedule step yields at the first message still in flight.
+class NbcEngine::OpHops final : public Hops {
+ public:
+  OpHops(NbcEngine& e, Op& op) : e_(e), op_(op) {}
+  void send(int to, std::size_t slot, const void* data,
+            std::size_t bytes) override {
+    e_.send_hop(op_, to, slot, data, bytes);
+  }
+  const std::byte* recv(std::size_t slot, std::size_t bytes) override {
+    return e_.hop_payload(op_, slot, bytes);
+  }
+
+ private:
+  NbcEngine& e_;
+  Op& op_;
+};
 
 // ---------------------------------------------------------------------------
 // Initiation
@@ -293,8 +216,9 @@ fut::Future<fut::Unit> NbcEngine::start(std::unique_ptr<Op> op) {
   // must poll rather than park while it is open.
   rt_.note_pending(+1);
   rt_.note_poll_source(+1);
-  if (trace_ != nullptr) {
-    trace_->instant(track_, std::string(op->name()) + " start", comm_.now());
+  if (sim::TraceRecorder* trace = slots_.trace()) {
+    trace->instant(slots_.track(), std::string(op->name()) + " start",
+                   comm_.now());
   }
   fut::Future<fut::Unit> f = op->promise.future();
   open_.push_back(std::move(op));
@@ -334,12 +258,7 @@ fut::Future<fut::Unit> NbcEngine::iallreduce_sum(double* x, std::size_t n) {
   op->seq = ++seq_;
   op->x = x;
   op->n = n;
-  while (op->pof2 * 2 <= p_) op->pof2 *= 2;
-  op->rem = p_ - op->pof2;
-  op->rounds = ceil_log2(op->pof2);
-  // Slots: 0 = pre-fold, 1+r = exchange rounds, 1 + rounds =
-  // post-fold — the exact allreduce_recdbl layout.
-  open_slots(*op, static_cast<std::size_t>(op->rounds) + 2, n * 8);
+  open_slots(*op, allreduce_recdbl_slots(p_), n * 8);
   return start(std::move(op));
 }
 
@@ -364,15 +283,18 @@ void NbcEngine::step_all() {
 
 bool NbcEngine::step(Op& op) {
   if (!op.schedule_done) {
+    OpHops hops(*this, op);
     switch (op.kind) {
       case Op::kBarrier:
         op.schedule_done = step_barrier(op);
         break;
       case Op::kBcast:
-        op.schedule_done = step_bcast(op);
+        op.schedule_done =
+            bcast_binomial_step(hops, p_, me_, op.root, 0, op.data, op.bytes);
         break;
       default:
-        op.schedule_done = step_allreduce(op);
+        op.schedule_done =
+            allreduce_recdbl_step(hops, op.recdbl, p_, me_, op.x, op.n);
         break;
     }
   }
@@ -402,95 +324,12 @@ bool NbcEngine::step_barrier(Op& op) {
   return true;
 }
 
-bool NbcEngine::step_bcast(Op& op) {
-  // Binomial tree, bcast_binomial's schedule: each non-root receives
-  // exactly once (its own slot 0), then fans out to its children.
-  const int vr = (me_ - op.root + p_) % p_;
-  if (op.phase == 0) {
-    if (vr != 0) {
-      const std::byte* in = hop_payload(op, 0, op.bytes);
-      if (in == nullptr) return false;
-      std::memcpy(op.data, in, op.bytes);
-    }
-    op.phase = 1;
-  }
-  // Children sit at the mask positions below my join bit (below p for
-  // the root).
-  int mask = 1;
-  while (mask < p_ && (vr & mask) == 0) mask <<= 1;
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < p_) {
-      send_hop(op, (vr + mask + op.root) % p_, 0, op.data, op.bytes);
-    }
-    mask >>= 1;
-  }
-  return true;
-}
-
-bool NbcEngine::step_allreduce(Op& op) {
-  // Mirrors allreduce_recdbl exactly (same fold, same partner order,
-  // partners computing a+b and b+a) so the result is bitwise identical
-  // to the blocking recursive-doubling allreduce.
-  const std::size_t nb = op.n * 8;
-  if (op.phase == 0) {  // MPICH pre-fold down to a power of two
-    if (me_ < 2 * op.rem) {
-      if (me_ % 2 == 1) {
-        send_hop(op, me_ - 1, 0, op.x, nb);
-        op.vr = -1;
-        op.phase = 2;  // lent my contribution; straight to post-fold
-        op.sent = false;
-      } else {
-        const std::byte* in = hop_payload(op, 0, nb);
-        if (in == nullptr) return false;
-        const auto* v = reinterpret_cast<const double*>(in);
-        for (std::size_t i = 0; i < op.n; ++i) op.x[i] += v[i];
-        op.vr = me_ / 2;
-        op.phase = 1;
-      }
-    } else {
-      op.vr = me_ - op.rem;
-      op.phase = 1;
-    }
-  }
-  if (op.phase == 1) {  // recursive-doubling exchange rounds
-    while (op.round < op.rounds) {
-      const int pvr = op.vr ^ (1 << op.round);
-      const int partner = pvr < op.rem ? pvr * 2 : pvr + op.rem;
-      const std::size_t slot = static_cast<std::size_t>(1 + op.round);
-      if (!op.sent) {
-        send_hop(op, partner, slot, op.x, nb);
-        op.sent = true;
-      }
-      const std::byte* in = hop_payload(op, slot, nb);
-      if (in == nullptr) return false;
-      const auto* v = reinterpret_cast<const double*>(in);
-      for (std::size_t i = 0; i < op.n; ++i) op.x[i] += v[i];
-      ++op.round;
-      op.sent = false;
-    }
-    op.phase = 2;
-  }
-  // Post-fold: evens hand the full result back to their odd partner.
-  if (me_ < 2 * op.rem) {
-    const std::size_t slot = static_cast<std::size_t>(1 + op.rounds);
-    if (me_ % 2 == 0) {
-      send_hop(op, me_ + 1, slot, op.x, nb);
-    } else {
-      const std::byte* in = hop_payload(op, slot, nb);
-      if (in == nullptr) return false;
-      std::memcpy(op.x, in, nb);
-    }
-  }
-  return true;
-}
-
 void NbcEngine::finish(Op& op) {
   ++ops_completed_;
   rt_.note_pending(-1);
   rt_.note_poll_source(-1);
-  if (trace_ != nullptr) {
-    trace_->instant(track_, std::string(op.name()) + " done", comm_.now());
+  if (sim::TraceRecorder* trace = slots_.trace()) {
+    trace->instant(slots_.track(), std::string(op.name()) + " done", comm_.now());
   }
   sample_gauge();
   // Continuations do NOT run inline here: fulfill enqueues them on the

@@ -14,7 +14,7 @@
 // and ordered (every rank must start the same nbc ops in the same
 // order with the same shapes), so all ranks compute identical slot
 // offsets with no extra wire traffic. Each message is one put of
-// [flag | payload]; the flag value encodes the operation's global
+// [header | payload]; the header's flag encodes the operation's global
 // sequence number and kind, so a receiver can verify the landed
 // message belongs to the op it is stepping — rank divergence aborts
 // with a diagnostic instead of silently mixing payloads. When the
@@ -22,26 +22,24 @@
 // quiesces with the hardware barrier, and re-zeroes — rare, blocking,
 // and identical on every rank.
 //
-// iallreduce mirrors allreduce_recdbl's exact schedule (the MPICH
-// non-power-of-two fold, the same partner order, a+b vs b+a), so its
-// result is bitwise identical to the blocking recursive-doubling
-// allreduce.
+// Hops travel through SlotTransport (slot.hpp), the codec CollEngine
+// uses too, and ibcast / iallreduce step the very schedules the
+// blocking binomial broadcast and recursive-doubling allreduce run
+// (schedule.hpp), so iallreduce's result is bitwise identical to the
+// blocking recdbl allreduce by construction. Only the dissemination
+// ibarrier is private to this engine: the blocking barriers signal
+// through monotone barrier words instead of slot messages.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "async/async.hpp"
+#include "coll/slot.hpp"
 #include "core/comm.hpp"
 #include "sim/trace.hpp"
-
-namespace pgasq::fault {
-class Integrity;
-}  // namespace pgasq::fault
 
 namespace pgasq::coll {
 
@@ -88,7 +86,7 @@ class NbcEngine {
 
   /// Opens the per-op slot block: wraps/grows the arena when the
   /// cursor would overflow, then bump-allocates `slots` slots of
-  /// hdr_ + pad8(payload) bytes each.
+  /// hdr() + pad8(payload) bytes each.
   void open_slots(Op& op, std::size_t slots, std::size_t payload);
   /// Drive every open op to completion, quiesce the fabric, re-zero
   /// the arena (growing to >= `need` data bytes if necessary) and
@@ -96,7 +94,7 @@ class NbcEngine {
   void wrap(std::size_t need);
   void ensure_arena(std::size_t need);
 
-  /// One [flag | payload] put into slot `slot` of `to`'s block for
+  /// One [header | payload] put into slot `slot` of `to`'s block for
   /// this op; the stage is retained until the next wrap so a receiver
   /// can re-fetch a payload that failed its slot checksum.
   void send_hop(Op& op, int to, std::size_t slot, const void* data,
@@ -105,9 +103,8 @@ class NbcEngine {
   /// else nullptr. Verifies + re-fetches under slot checksums; aborts
   /// on a flag from a different op (initiation-order divergence).
   const std::byte* hop_payload(Op& op, std::size_t slot, std::size_t bytes);
-
-  std::byte* keep_alloc(std::size_t need);
-  void keep_retire();
+  /// The schedule hop interface (schedule.hpp) over one op's hops.
+  class OpHops;
 
   /// Steps every open op in initiation order; completed ops fulfill
   /// their futures and retire. Re-entrancy-guarded (a step may block
@@ -116,20 +113,10 @@ class NbcEngine {
   /// Advances one op; true when complete.
   bool step(Op& op);
   bool step_barrier(Op& op);
-  bool step_bcast(Op& op);
-  bool step_allreduce(Op& op);
 
   fut::Future<fut::Unit> start(std::unique_ptr<Op> op);
   void finish(Op& op);
   void sample_gauge();
-
-  std::uint64_t hop_flow_id(int recv_rank, std::uint64_t seq,
-                            std::size_t slot) const {
-    return (1ULL << 63) | ((salt_ & 0xFFULL) << 55) |
-           ((seq & 0x1FFFFULL) << 38) |
-           ((static_cast<std::uint64_t>(slot) & 0x3FFFFULL) << 20) |
-           static_cast<std::uint64_t>(recv_rank);
-  }
 
   armci::Comm& comm_;
   async::Runtime& rt_;
@@ -141,16 +128,9 @@ class NbcEngine {
   std::size_t cursor_ = 0;  ///< bump cursor (identical on all ranks)
   std::uint64_t seq_ = 0;   ///< per-op sequence (collective, monotone)
 
-  /// Slot-message header width: 8 (flag only) or 32 under the
-  /// integrity layer's slot checksums — same wire layout as
-  /// CollEngine's ([flag][crc|len][src|pad][stage addr]).
-  std::size_t hdr_ = 8;
-  fault::Integrity* integrity_ = nullptr;
-
-  /// Retained send stages; retired (coalesced) at wrap, when no
-  /// re-fetch can still target one.
-  std::vector<std::pair<std::byte*, std::size_t>> keep_blocks_;
-  std::size_t keep_used_ = 0;
+  /// Slot codec, retained-stage pool and trace track. Stages retire at
+  /// each wrap and are freed with the engine.
+  SlotTransport slots_;
 
   std::deque<std::unique_ptr<Op>> open_;
   std::size_t poller_id_ = 0;
@@ -161,9 +141,6 @@ class NbcEngine {
   std::uint64_t hops_sent_ = 0;
   std::uint64_t wraps_ = 0;
 
-  std::uint64_t salt_ = 0;
-  sim::TraceRecorder* trace_ = nullptr;
-  std::uint32_t track_ = 0;
   obs::Timeline* timeline_ = nullptr;
   obs::Timeline::SeriesId open_series_ = obs::Timeline::kNone;
 };

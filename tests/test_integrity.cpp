@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "async/async.hpp"
 #include "coll/coll.hpp"
+#include "coll/nbc.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
 #include "fault/fault.hpp"
@@ -237,42 +239,66 @@ TEST(Integrity, RetryExhaustionOnCorruptionEscalatesToIntegrityError) {
 // With transport verification off (integrity.verify=0) flipped bytes
 // reach application memory — including collective slots. The slot
 // checksum must detect the mid-tree corruption and re-request the slot
-// from the sender's retained stage, so reductions still come out
-// exact.
+// from the sender's retained stage, so reductions and broadcasts still
+// come out exact. Both engines share the slot transport; each runs in
+// its own World so its repair counters stand alone.
 TEST(Integrity, SilentDeliveryCollSlotRepair) {
   constexpr int kRanks = 7;
   constexpr std::size_t kN = 512;
-  WorldConfig cfg = line(kRanks);
-  cfg.machine.fault.seed = 21;
-  cfg.machine.fault.corrupt_prob = 0.05;
-  cfg.machine.integrity.configured = true;
-  cfg.machine.integrity.verify = false;  // let the flips land
-  World world(cfg);
-  world.spmd([&](Comm& comm) {
-    auto& engine = coll::CollEngine::of(comm);
-    for (int round = 0; round < 10; ++round) {
-      std::vector<double> x(kN);
-      for (std::size_t i = 0; i < kN; ++i) {
-        x[i] = comm.rank() + 10.0 * static_cast<double>(i);
+  constexpr std::size_t kBcastBytes = 4096;
+  for (const bool nonblocking : {false, true}) {
+    const char* engine = nonblocking ? "NbcEngine" : "CollEngine";
+    WorldConfig cfg = line(kRanks);
+    cfg.machine.fault.seed = 21;
+    cfg.machine.fault.corrupt_prob = 0.05;
+    cfg.machine.integrity.configured = true;
+    cfg.machine.integrity.verify = false;  // let the flips land
+    World world(cfg);
+    world.spmd([&](Comm& comm) {
+      for (int round = 0; round < 10; ++round) {
+        std::vector<double> x(kN);
+        for (std::size_t i = 0; i < kN; ++i) {
+          x[i] = comm.rank() + 10.0 * static_cast<double>(i);
+        }
+        if (nonblocking) {
+          async::Runtime::of(comm).wait(
+              coll::NbcEngine::of(comm).iallreduce_sum(x.data(), x.size()));
+        } else {
+          coll::CollEngine::of(comm).allreduce_sum(x.data(), x.size());
+        }
+        // Exact integer arithmetic in doubles: any surviving bit flip
+        // would show up as a wrong (or non-integral) element.
+        const double rank_sum = kRanks * (kRanks - 1) / 2.0;
+        for (std::size_t i = 0; i < kN; ++i) {
+          ASSERT_DOUBLE_EQ(x[i], rank_sum + 10.0 * static_cast<double>(i) * kRanks)
+              << engine << " element " << i << " round " << round << " on rank "
+              << comm.rank();
+        }
+        if (!nonblocking) continue;
+        const int root = round % kRanks;
+        std::vector<std::byte> buf(kBcastBytes, std::byte{0});
+        if (comm.rank() == root) {
+          for (std::size_t i = 0; i < kBcastBytes; ++i) {
+            buf[i] = static_cast<std::byte>(i * 7 + static_cast<std::size_t>(round));
+          }
+        }
+        async::Runtime::of(comm).wait(
+            coll::NbcEngine::of(comm).ibcast(buf.data(), buf.size(), root));
+        for (std::size_t i = 0; i < kBcastBytes; ++i) {
+          ASSERT_EQ(buf[i], static_cast<std::byte>(i * 7 + static_cast<std::size_t>(round)))
+              << "ibcast byte " << i << " round " << round << " on rank "
+              << comm.rank();
+        }
       }
-      engine.allreduce_sum(x.data(), x.size());
-      // Exact integer arithmetic in doubles: any surviving bit flip
-      // would show up as a wrong (or non-integral) element.
-      const double rank_sum = kRanks * (kRanks - 1) / 2.0;
-      for (std::size_t i = 0; i < kN; ++i) {
-        ASSERT_DOUBLE_EQ(x[i], rank_sum + 10.0 * static_cast<double>(i) * kRanks)
-            << "element " << i << " round " << round << " on rank "
-            << comm.rank();
-      }
-    }
-    comm.barrier();
-  });
-  ASSERT_NE(world.machine().integrity(), nullptr);
-  const fault::IntegrityStats& is = world.machine().integrity()->stats();
-  EXPECT_GT(is.coll_slot_checks, 0u);
-  EXPECT_GT(is.coll_slot_rejects, 0u) << "plan never corrupted a slot; "
-                                         "raise rounds or corrupt_prob";
-  EXPECT_GE(is.coll_slot_refetches, is.coll_slot_rejects);
+      comm.barrier();
+    });
+    ASSERT_NE(world.machine().integrity(), nullptr);
+    const fault::IntegrityStats& is = world.machine().integrity()->stats();
+    EXPECT_GT(is.coll_slot_checks, 0u) << engine;
+    EXPECT_GT(is.coll_slot_rejects, 0u) << engine << ": plan never corrupted a "
+                                           "slot; raise rounds or corrupt_prob";
+    EXPECT_GE(is.coll_slot_refetches, is.coll_slot_rejects) << engine;
+  }
 }
 
 // A corruption plan must deselect the hardware collective-logic model:

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Gate script: the tree must build and pass ctest twice — a plain
 # RelWithDebInfo build, then an UndefinedBehaviorSanitizer build
-# (PGASQ_SANITIZE=undefined). Run from anywhere; builds live in
-# build-check/ and build-check-ubsan/ at the repo root.
+# (PGASQ_SANITIZE=undefined) — and the benchmark driver (perfbench/,
+# its own CMake package over src/) must build and pass its ctest. Run
+# from anywhere; builds live in build-check/, build-check-ubsan/ and
+# build-check-perfbench/ at the repo root.
 #
 # Usage: tools/check.sh [--asan]
 #   --asan  additionally run an AddressSanitizer pass (slower; fiber
@@ -18,6 +20,18 @@ pass() {
   local dir="$1"; shift
   echo "=== configure+build+test: ${dir} ($*)" >&2
   cmake -B "${repo}/${dir}" -S "${repo}" "$@" >/dev/null
+  cmake --build "${repo}/${dir}" -j "${jobs}"
+  ctest --test-dir "${repo}/${dir}" --output-on-failure -j "${jobs}"
+}
+
+perfbench_pass() {
+  # The benchmark driver compiles the simulator from src/ itself, so a
+  # src/ change can break it without breaking the main build; its
+  # ctest (perfbench_scf_mirror) checks the scf workload still mirrors
+  # apps::run_scf.
+  local dir="build-check-perfbench"
+  echo "=== configure+build+test: ${dir} (perfbench)" >&2
+  cmake -B "${repo}/${dir}" -S "${repo}/perfbench" >/dev/null
   cmake --build "${repo}/${dir}" -j "${jobs}"
   ctest --test-dir "${repo}/${dir}" --output-on-failure -j "${jobs}"
 }
@@ -239,6 +253,7 @@ PY
 }
 
 pass build-check
+perfbench_pass
 obs_gate build-check
 async_gate build-check
 kvs_gate build-check
