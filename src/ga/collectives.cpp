@@ -21,7 +21,12 @@ void gop_sum(Comm& comm, double* x, std::size_t n, grp::ProcGroup* group) {
   coll::CollEngine::of(comm).allreduce_sum(x, n);
 }
 
-double element_sum(GlobalArray& a, grp::ProcGroup* group) {
+namespace {
+
+/// Local partial of element_sum, charging the scan as compute. The
+/// blocking and non-blocking element sums share it, so a recdbl-pinned
+/// blocking run and an overlapped run produce bitwise equal sums.
+double local_element_sum(GlobalArray& a) {
   const auto [rlo, rhi] = a.local_rows();
   const auto [clo, chi] = a.local_cols();
   const double* d = a.local_data();
@@ -31,28 +36,21 @@ double element_sum(GlobalArray& a, grp::ProcGroup* group) {
       partial += d[i * a.local_ld() + j];
     }
   }
-  // Charge the local scan.
   a.comm().compute(from_ns(0.5 * static_cast<double>((rhi - rlo) * (chi - clo))));
+  return partial;
+}
+
+}  // namespace
+
+double element_sum(GlobalArray& a, grp::ProcGroup* group) {
+  double partial = local_element_sum(a);
   gop_sum(a.comm(), &partial, 1, group);
   return partial;
 }
 
 fut::Future<fut::Unit> ielement_sum(GlobalArray& a, double* out) {
   PGASQ_CHECK(out != nullptr);
-  // The identical local scan (and compute charge) as element_sum, so a
-  // recdbl-pinned blocking run and an overlapped run produce bitwise
-  // equal sums.
-  const auto [rlo, rhi] = a.local_rows();
-  const auto [clo, chi] = a.local_cols();
-  const double* d = a.local_data();
-  double partial = 0.0;
-  for (std::int64_t i = 0; i < rhi - rlo; ++i) {
-    for (std::int64_t j = 0; j < chi - clo; ++j) {
-      partial += d[i * a.local_ld() + j];
-    }
-  }
-  a.comm().compute(from_ns(0.5 * static_cast<double>((rhi - rlo) * (chi - clo))));
-  *out = partial;
+  *out = local_element_sum(a);
   return coll::NbcEngine::of(a.comm()).iallreduce_sum(out, 1);
 }
 

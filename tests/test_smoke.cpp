@@ -119,6 +119,32 @@ TEST(Smoke, TinyScfChecksumMatchesAcrossModes) {
   EXPECT_EQ(d.tasks_executed, at.tasks_executed);
   EXPECT_NEAR(d.fock_checksum, at.fock_checksum, 1e-9);
   EXPECT_GT(d.fock_checksum, 0.0);
+
+  // The overlapped and distributed-guess drivers run the same Fock
+  // build as the blocking one. With the blocking energy reduction
+  // pinned to recursive doubling, both match it bit for bit.
+  scf.iterations = 2;
+  auto run_pinned = [](const apps::ScfConfig& config) {
+    WorldConfig cfg = small_world(4, armci::ProgressMode::kDefault);
+    cfg.armci.coll.emplace_back("algo.allreduce", "recdbl");
+    World world(cfg);
+    return apps::run_scf(world, config);
+  };
+  const auto blocking = run_pinned(scf);
+  apps::ScfConfig overlap_cfg = scf;
+  overlap_cfg.overlap = true;
+  const auto overlapped = run_pinned(overlap_cfg);
+  apps::ScfConfig guess_cfg = scf;
+  guess_cfg.distributed_guess = true;
+  const auto distributed = run_pinned(guess_cfg);
+
+  for (const auto* r : {&overlapped, &distributed}) {
+    EXPECT_EQ(r->fock_checksum, blocking.fock_checksum);
+    EXPECT_EQ(r->final_energy, blocking.final_energy);
+    EXPECT_EQ(r->tasks_executed, blocking.tasks_executed);
+  }
+  EXPECT_GT(overlapped.prefetch_hits + overlapped.prefetch_misses, 0u);
+  EXPECT_EQ(blocking.prefetch_hits + blocking.prefetch_misses, 0u);
 }
 
 }  // namespace

@@ -1,27 +1,37 @@
 #!/usr/bin/env bash
-# Stdout-identity check: builds the bench programs of git revision <rev>
-# and of the working tree, runs each named bench from both builds with
-# no arguments, and diffs their stdout. Fault-free runs are
-# deterministic, so any difference is a behaviour (or virtual-time)
-# change.
+# Stdout-identity check: builds the named programs of git revision <rev>
+# and of the working tree, runs each from both builds, and diffs their
+# stdout. Fault-free runs are deterministic, so any difference is a
+# behaviour (or virtual-time) change.
 #
-# Usage: tools/stdout_identity.sh <rev> <bench>...
+# Usage: tools/stdout_identity.sh <rev> <run>...
 #   e.g. tools/stdout_identity.sh HEAD~ bench_fig3_latency bench_fig9_rmw
+#        tools/stdout_identity.sh HEAD~ 'scf_walkthrough --ranks=8 --distributed_guess=1'
+#
+# Each <run> is a program name, optionally followed by its arguments in
+# the same quoted operand. The program is looked up in bench/, then in
+# examples/; a bare name runs with no arguments.
 #
 # <rev> is exported with `git archive` into a temporary directory
 # (under $TMPDIR, removed on exit) and built there; the working tree
 # builds into build-identity/ at the repo root. Exits 0 when every
-# bench's stdout is byte-identical, 1 otherwise.
+# run's stdout is byte-identical, 1 otherwise.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  echo "usage: $0 <rev> <bench>..." >&2
+  echo "usage: $0 <rev> <run>..." >&2
   exit 2
 fi
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 rev="$1"
 shift
-benches=("$@")
+runs=("$@")
+# The distinct program names: the build targets.
+targets=()
+for run in "${runs[@]}"; do
+  read -ra words <<< "${run}"
+  [[ " ${targets[*]} " == *" ${words[0]} "* ]] || targets+=("${words[0]}")
+done
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 sha="$(git -C "${repo}" rev-parse --verify "${rev}^{commit}")"
@@ -32,24 +42,35 @@ build() {
   local src="$1" dir="$2"
   echo "=== build: ${dir}" >&2
   cmake -B "${dir}" -S "${src}" >/dev/null
-  cmake --build "${dir}" -j "${jobs}" --target "${benches[@]}" >/dev/null
+  cmake --build "${dir}" -j "${jobs}" --target "${targets[@]}" >/dev/null
 }
 
 git -C "${repo}" archive "${sha}" | tar -x -C "${tmp}"
 build "${tmp}" "${tmp}/build"
 build "${repo}" "${repo}/build-identity"
 
+# Runs the <run> operand $2 from the build in $1, stdout to $3.
+run_one() {
+  local dir="$1" out="$3" words
+  read -ra words <<< "$2"
+  local exe="${dir}/bench/${words[0]}"
+  [[ -x "${exe}" ]] || exe="${dir}/examples/${words[0]}"
+  "${exe}" "${words[@]:1}" > "${out}"
+}
+
 same=0
-for bench in "${benches[@]}"; do
-  "${tmp}/build/bench/${bench}" > "${tmp}/${bench}.rev.txt"
-  "${repo}/build-identity/bench/${bench}" > "${tmp}/${bench}.tree.txt"
-  if diff -u --label "${bench}@${rev}" --label "${bench}@tree" \
-       "${tmp}/${bench}.rev.txt" "${tmp}/${bench}.tree.txt" >&2; then
-    echo "IDENTICAL ${bench}"
+i=0
+for run in "${runs[@]}"; do
+  i=$((i + 1))
+  run_one "${tmp}/build" "${run}" "${tmp}/${i}.rev.txt"
+  run_one "${repo}/build-identity" "${run}" "${tmp}/${i}.tree.txt"
+  if diff -u --label "${run}@${rev}" --label "${run}@tree" \
+       "${tmp}/${i}.rev.txt" "${tmp}/${i}.tree.txt" >&2; then
+    echo "IDENTICAL ${run}"
     same=$((same + 1))
   else
-    echo "DIFFERS   ${bench}"
+    echo "DIFFERS   ${run}"
   fi
 done
-echo "${same}/${#benches[@]} byte-identical against ${rev} (${sha:0:12})"
-[[ "${same}" -eq "${#benches[@]}" ]]
+echo "${same}/${#runs[@]} byte-identical against ${rev} (${sha:0:12})"
+[[ "${same}" -eq "${#runs[@]}" ]]
