@@ -40,7 +40,10 @@ Runtime::Runtime(armci::Comm& comm)
         timeline_->series("async.cont_queue_depth", obs::Timeline::Kind::kGauge);
   }
   comm.set_async_hook([this] { drain(); }, [this] { check_quiesced(); });
-  comm.set_async_poll_hook([this] { return poll_sources_ > 0; });
+  comm.set_async_poll_hook([this] {
+    using Work = armci::Comm::AsyncWork;
+    return poll_sources_ > 0 ? Work::kPolling : queue_.empty() ? Work::kNone : Work::kQueued;
+  });
 }
 
 void Runtime::note_poll_source(int delta) {

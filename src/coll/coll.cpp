@@ -32,6 +32,9 @@ constexpr int kTreeDownWord = 40;  // release signal (one per rank)
 constexpr int kRingTokenWord = 48;
 constexpr int kRingReleaseWord = 49;
 
+// Virtual compute time between two polls of a flag or word.
+constexpr Time kPollSlice = from_ns(200);
+
 constexpr SlotNames kSlotNames{"collective slot", "coll hop", "coll hop recv",
                                "coll slot refetch"};
 
@@ -380,11 +383,6 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
   }
 }
 
-void CollEngine::poll() {
-  comm_.progress();
-  comm_.compute(from_ns(200));
-}
-
 void CollEngine::group_rendezvous() {
   if (geometry_.p <= 1) return;
   comm_.fence_all();
@@ -473,7 +471,7 @@ const std::byte* CollEngine::recv_wait(std::size_t slot, std::size_t bytes) {
   std::byte* base = slot_local(slot);
   const volatile std::uint64_t* flag =
       reinterpret_cast<const volatile std::uint64_t*>(base);
-  while (*flag < epoch_) poll();
+  comm_.poll_until([flag, this] { return *flag >= epoch_; }, kPollSlice);
   PGASQ_CHECK(*flag == epoch_,
               << "collective slot " << slot << " flagged epoch " << *flag
               << ", expected " << epoch_);
@@ -489,7 +487,7 @@ void CollEngine::put_word(int to, int word, std::uint64_t value) {
 void CollEngine::wait_word(int word, std::uint64_t at_least) {
   const volatile std::uint64_t* w = reinterpret_cast<const volatile std::uint64_t*>(
       scratch_->local(comm_.rank()) + static_cast<std::size_t>(word) * 8);
-  while (*w < at_least) poll();
+  comm_.poll_until([w, at_least] { return *w >= at_least; }, kPollSlice);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +619,8 @@ void CollEngine::hw_rendezvous(const void* contribution, std::size_t bytes,
     comm_.world().machine().engine().schedule_after(
         hw_latency(model_bytes), [shared] { ++shared->generation; });
   }
-  while (hw.generation == generation) poll();
+  comm_.poll_until([&hw, generation] { return hw.generation != generation; },
+                   kPollSlice);
 }
 
 void CollEngine::hw_broadcast(std::byte* data, std::size_t bytes, int root) {

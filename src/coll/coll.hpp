@@ -236,7 +236,6 @@ class CollEngine {
   // Geometry helpers.
   std::vector<int> digits_of(int rank) const;
   int rank_of_digits(const std::vector<int>& digits) const;
-  void poll();
 
   armci::Comm& comm_;
   CollConfig config_;

@@ -349,13 +349,49 @@ void Comm::progress_until(const std::function<bool()>& pred) {
     // Open non-blocking collectives complete through one-sided flag
     // writes that post no context item: parking would sleep through
     // the landing. Poll instead, at the collectives engine's cadence.
-    if (async_poll_ && async_poll_()) {
+    if (async_poll_ && async_poll_() == AsyncWork::kPolling) {
       compute(from_ns(200));
       continue;
     }
     // Park (lock released) until the next delivery; every event this
     // predicate can depend on arrives as an item on this context.
     ctx.wait_for_work();
+  }
+}
+
+bool Comm::idle_pass() {
+  return monitor_ == nullptr && deferred_gets_.empty() && !needs_context_lock() &&
+         !main_context().has_work() &&
+         (!async_poll_ || async_poll_() == AsyncWork::kNone);
+}
+
+void Comm::poll_until(const std::function<bool()>& pred, Time slice) {
+  const Time poll_cost = process_.machine().params().advance_poll_cost;
+  // Each pass is progress() — ft_check, deferred flush, advance (an
+  // empty one sleeps poll_cost), async drain — then compute(slice).
+  // The engine's phase-0 wake is the advance's return, where only the
+  // drain remains; its phase-1 wake is the next pass's pred() and
+  // advance.
+  const std::function<bool(int)> idle = [this, &pred](int phase) {
+    if (!idle_pass()) return false;
+    if (phase == 1) {
+      if (pred()) return false;
+      main_context().count_empty_advance();
+    }
+    return true;
+  };
+  sim::Engine& engine = process_.machine().engine();
+  while (!pred()) {
+    // A zero cost is charged without a sleep, so it has no wake to replay.
+    if (poll_cost > 0 && slice > 0 && idle_pass()) {
+      main_context().count_empty_advance();
+      if (engine.replay_idle_loop(poll_cost, slice, idle) == 1) continue;
+      // Resumed where the empty advance returns: finish the pass.
+      if (async_hook_) async_hook_();
+    } else {
+      progress();
+    }
+    compute(slice);
   }
 }
 

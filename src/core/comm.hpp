@@ -240,6 +240,22 @@ class Comm {
   /// non-blocking collectives drain on this.
   void progress_until(const std::function<bool()>& pred);
 
+  /// The idle poll loop `while (!pred()) { progress(); compute(slice); }`
+  /// for waits whose completion posts no context item (one-sided flag
+  /// writes, the hardware collective model). An idle pass — nothing
+  /// queued on the main context, nothing for the async runtime to run
+  /// — is replayed by the engine (sim::Engine::replay_idle_loop)
+  /// without switching into this fiber; virtual time, event order and
+  /// the advance counters stay exactly those of the loop. A pass runs
+  /// on the fiber whenever an ft monitor exists, deferred gets are
+  /// queued, the context lock is needed, the main context has work,
+  /// the async runtime would run anything, or the engine is traced or
+  /// timelined. `pred` is also evaluated from engine events, outside
+  /// any fiber, so it must be a plain read of memory; keep its
+  /// captures within 16 bytes so std::function stores it inline
+  /// (DESIGN.md §5).
+  void poll_until(const std::function<bool()>& pred, Time slice);
+
   /// Pairwise producer/consumer synchronization (armci_notify):
   /// fences all writes to `target`, then raises a notification there.
   /// The consumer calls wait_notify(producer) and may then read the
@@ -325,13 +341,20 @@ class Comm {
     async_hook_ = std::move(drain);
     async_check_ = std::move(check);
   }
-  /// Installed by the runtime alongside the drain hook: returns true
-  /// while a poll-driven completion source is live (open non-blocking
+  /// What the async runtime's next drain would do.
+  enum class AsyncWork : std::uint8_t {
+    kNone,     ///< nothing: no poll source open, no continuation queued
+    kQueued,   ///< run queued continuations (no poll source open)
+    kPolling,  ///< step an open poll-driven completion source
+  };
+  /// Installed by the runtime alongside the drain hook. kPolling while
+  /// a poll-driven completion source is live (open non-blocking
   /// collectives, whose arrival flags are one-sided RDMA writes that
-  /// post no context item). While true, progress_until advances
-  /// virtual time and re-polls instead of parking on context work —
-  /// parking would sleep through a flag landing and deadlock.
-  void set_async_poll_hook(std::function<bool()> poll) {
+  /// post no context item): progress_until then advances virtual time
+  /// and re-polls instead of parking on context work — parking would
+  /// sleep through a flag landing and deadlock. poll_until replays an
+  /// idle pass only at kNone.
+  void set_async_poll_hook(std::function<AsyncWork()> poll) {
     async_poll_ = std::move(poll);
   }
 
@@ -398,6 +421,9 @@ class Comm {
   bool needs_context_lock() const;
   /// Returns the number of items serviced (Context::advance's count).
   std::size_t locked_advance(pami::Context& ctx);
+  /// True when a poll_until pass would do nothing but an empty
+  /// advance and its compute slice (see poll_until).
+  bool idle_pass();
   void start_async_thread();
   /// Injects every queued deferred get (skipping revoked ones).
   void flush_deferred_gets();
@@ -506,7 +532,7 @@ class Comm {
   std::shared_ptr<void> async_slot_;
   std::function<void()> async_hook_;
   std::function<void()> async_check_;
-  std::function<bool()> async_poll_;
+  std::function<AsyncWork()> async_poll_;
   std::vector<std::shared_ptr<DeferredGet>> deferred_gets_;
   std::uint64_t coll_engine_seq_ = 0;
 };

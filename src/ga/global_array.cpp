@@ -93,6 +93,12 @@ RankId Distribution2D::owner(std::int64_t i, std::int64_t j) const {
   return rank_of(grid_row_of(i), grid_col_of(j));
 }
 
+std::int64_t Distribution2D::max_block_elems() const {
+  const auto [rlo, rhi] = row_range(0);
+  const auto [clo, chi] = col_range(0);
+  return (rhi - rlo) * (chi - clo);
+}
+
 std::pair<std::int64_t, std::int64_t> Distribution2D::local_shape(RankId r) const {
   const int v = vrank_of(r);
   const int gr = v / pc_;
@@ -115,16 +121,8 @@ GlobalArray::GlobalArray(Comm& comm, std::int64_t rows, std::int64_t cols,
   local_cols_n_ = lc;
   // Every rank allocates the largest block so the collective slab size
   // is uniform (GA does the same with its mirrored max-block layout).
-  std::size_t max_bytes = 0;
-  for (int gr = 0; gr < dist_.grid_rows(); ++gr) {
-    for (int gc = 0; gc < dist_.grid_cols(); ++gc) {
-      const auto [brlo, brhi] = dist_.row_range(gr);
-      const auto [bclo, bchi] = dist_.col_range(gc);
-      max_bytes = std::max(max_bytes, static_cast<std::size_t>(brhi - brlo) *
-                                          static_cast<std::size_t>(bchi - bclo) *
-                                          sizeof(double));
-    }
-  }
+  const std::size_t max_bytes =
+      static_cast<std::size_t>(dist_.max_block_elems()) * sizeof(double);
   PGASQ_CHECK(max_bytes > 0, << "array smaller than the process grid");
   mem_ = &comm.malloc_collective(max_bytes);
 }

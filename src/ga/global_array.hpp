@@ -52,6 +52,11 @@ class Distribution2D {
   /// True when `world` participates in the grid.
   bool is_member(RankId world) const;
 
+  /// Element count of the largest block: block (0, 0), since the
+  /// leading `n % parts` blocks of each dimension get the extra row or
+  /// column.
+  std::int64_t max_block_elems() const;
+
   /// Local shape of rank r's block (may be 0 x n for ranks past the
   /// grid when p is not a perfect grid — we require p == pr*pc).
   std::pair<std::int64_t, std::int64_t> local_shape(RankId r) const;

@@ -82,6 +82,14 @@ class Context {
   /// the PAMI progress rule.
   void advance_until(const std::function<bool()>& pred);
 
+  /// Counts one advance() that found the queue empty, without
+  /// charging its poll cost: the caller has accounted for that time
+  /// (an idle poll pass replayed by sim::Engine::replay_idle_loop).
+  void count_empty_advance() {
+    ++stats_.advance_calls;
+    ++stats_.empty_advances;
+  }
+
   /// True when queued items are waiting to be processed.
   bool has_work() const { return !items_.empty(); }
 

@@ -99,7 +99,7 @@ void Engine::run() {
   while (!queue_.empty()) {
     Event* ev = queue_.top();
     queue_.pop();
-    const bool skip = cancelled_.erase(ev->id) != 0;
+    const bool skip = !cancelled_.empty() && cancelled_.erase(ev->id) != 0;
     if (!skip) {
       PGASQ_CHECK(ev->time >= now_);
       now_ = ev->time;
@@ -164,6 +164,31 @@ void Engine::suspend() {
 }
 
 void Engine::yield() { sleep_for(0); }
+
+int Engine::replay_idle_loop(Time first, Time second,
+                             const std::function<bool(int)>& idle) {
+  PGASQ_CHECK(first >= 0 && second >= 0, << "negative idle-loop sleep");
+  Fiber* self = current_;
+  PGASQ_CHECK(self != nullptr, << "replay_idle_loop outside a fiber");
+  IdleReplay r{self, first, second, &idle, 0};
+  // Wake closures stay at two pointers, like sleep_for's, so
+  // std::function keeps them inline and the heap sees the same
+  // allocations either way.
+  schedule_after(first, [this, rp = &r] { idle_wake(*rp); });
+  block_current(Fiber::State::kBlocked);
+  return r.phase;
+}
+
+void Engine::idle_wake(IdleReplay& r) {
+  if (trace_ == nullptr && timeline_ == nullptr && (*r.idle)(r.phase)) {
+    const Time next = r.phase == 0 ? r.second : r.first;
+    r.phase ^= 1;
+    schedule_after(next, [this, rp = &r] { idle_wake(*rp); });
+    return;
+  }
+  r.fiber->state_ = Fiber::State::kReady;
+  switch_to_fiber(*r.fiber);
+}
 
 void Engine::resume(Fiber& fiber, Time delay) {
   PGASQ_CHECK(fiber.state() == Fiber::State::kBlocked,

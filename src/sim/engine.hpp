@@ -48,8 +48,11 @@ class Engine {
   EventId schedule_at(Time t, std::function<void()> fn);
   /// Schedules `fn` after a relative delay (must be >= 0).
   EventId schedule_after(Time delay, std::function<void()> fn);
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// already cancelled.
+  /// Cancels a pending event. Returns false if it was already
+  /// cancelled. The engine keeps no record of fired events, so callers
+  /// must cancel only an event they know is pending: cancelling one
+  /// that already fired returns true and leaves its id in
+  /// cancelled_pending() for good.
   bool cancel(EventId id);
 
   /// Creates a fiber and marks it runnable at the current time.
@@ -68,6 +71,20 @@ class Engine {
   void sleep_until(Time t);
   /// Blocks the current fiber indefinitely; another party must resume().
   void suspend();
+  /// Blocks the current fiber in the fixed-cadence idle loop
+  ///   for (;;) { sleep_for(first); step 0; sleep_for(second); step 1; }
+  /// without switching into it for steps that do nothing. At each wake
+  /// the engine asks `idle(phase)` (0 after `first`, 1 after `second`)
+  /// whether the fiber's step there would be a no-op; if so, `idle`
+  /// has done that step's bookkeeping and the engine schedules the next
+  /// wake from the same event, so every wake keeps the instant and the
+  /// FIFO id the fiber's own sleep_for would have given it. Otherwise
+  /// the fiber resumes inside that event, and this returns the phase
+  /// of the wake it resumed at. `idle` runs as a plain event callback
+  /// (no current fiber) and must not throw or block. While a trace
+  /// recorder or a timeline observes fiber switches, every wake
+  /// resumes the fiber.
+  int replay_idle_loop(Time first, Time second, const std::function<bool(int)>& idle);
   /// Yields to let any same-time events run, then continues.
   void yield();
 
@@ -83,6 +100,8 @@ class Engine {
   std::size_t live_fibers() const { return live_fibers_; }
   /// Total events processed (diagnostics).
   std::uint64_t events_processed() const { return events_processed_; }
+  /// Cancelled ids not yet popped from the queue (diagnostics).
+  std::size_t cancelled_pending() const { return cancelled_.size(); }
 
   /// Enables execution tracing (fiber slices). Must be set before the
   /// fibers whose activity should be recorded are spawned; pass
@@ -124,8 +143,19 @@ class Engine {
     }
   };
 
+  /// A fiber blocked in replay_idle_loop (lives on that fiber's stack).
+  struct IdleReplay {
+    Fiber* fiber;
+    Time first;
+    Time second;
+    const std::function<bool(int)>* idle;
+    int phase;
+  };
+
   void switch_to_fiber(Fiber& fiber);
   void block_current(Fiber::State new_state);
+  /// One wake of a replayed idle loop.
+  void idle_wake(IdleReplay& r);
 
   // ASan fiber annotations (no-ops unless built with ASan).
   void asan_enter_fiber(Fiber& fiber);      // scheduler side, before swap in

@@ -21,6 +21,7 @@ bool WaitQueue::wait_until(Time deadline) {
   // Timeout event resumes the fiber unless a notify got there first.
   const EventId timeout = engine_.schedule_at(
       std::max(deadline, engine_.now()), [this, &w] {
+        w.timer_fired = true;
         if (w.notified) return;  // already woken; stale timer
         for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
           if (*it == &w) {
@@ -31,7 +32,9 @@ bool WaitQueue::wait_until(Time deadline) {
         engine_.resume(*w.fiber);
       });
   engine_.suspend();
-  if (w.notified) engine_.cancel(timeout);
+  // Cancel only a still-pending timer: when the notify and the
+  // deadline share an instant the timer may already have fired.
+  if (w.notified && !w.timer_fired) engine_.cancel(timeout);
   return w.notified;
 }
 

@@ -37,6 +37,9 @@ class WaitQueue {
   struct Waiter {
     Fiber* fiber;
     bool notified = false;
+    /// wait_until's timeout event has run (it may have found the
+    /// waiter already notified at the same instant).
+    bool timer_fired = false;
   };
   Engine& engine_;
   std::deque<Waiter*> waiters_;

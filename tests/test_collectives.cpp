@@ -267,6 +267,75 @@ TEST_P(GopNonPow2, SumLandsOnEveryRank) {
 INSTANTIATE_TEST_SUITE_P(Counts, GopNonPow2, ::testing::Values(3, 5, 6, 12));
 
 // ---------------------------------------------------------------------------
+// Pinned software collectives: the poll loops of recv_wait / wait_word
+// run mostly as engine-replayed idle passes, which must leave virtual
+// time and the advance counters exactly where the on-fiber loop left
+// them. The constants were recorded with every pass on the fiber.
+
+TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
+  constexpr int p = 32;
+  constexpr std::size_t kA2aBytes = 4096;
+  constexpr std::size_t kA2aWords = kA2aBytes / 8;
+  armci::WorldConfig cfg =
+      make_cfg(p, 42, {{"hw", "0"}, {"algo.allreduce", "recdbl"},
+                       {"algo.broadcast", "binomial"}, {"algo.barrier", "recdbl"}});
+  cfg.machine.ranks_per_node = 1;
+  cfg.machine.network_model = "contention";
+  armci::World world(cfg);
+  world.spmd([](armci::Comm& comm) {
+    auto& engine = CollEngine::of(comm);
+    const int me = comm.rank();
+    const auto word = [](int from, int to, std::size_t k) {
+      return static_cast<std::uint64_t>(from) * 1000003u + static_cast<std::uint64_t>(to) * 1009u + k;
+    };
+    std::vector<std::uint64_t> in(static_cast<std::size_t>(p) * kA2aWords);
+    std::vector<std::uint64_t> out(in.size(), 0);
+    for (int to = 0; to < p; ++to) {
+      for (std::size_t k = 0; k < kA2aWords; ++k) {
+        in[static_cast<std::size_t>(to) * kA2aWords + k] = word(me, to, k);
+      }
+    }
+    engine.alltoall(in.data(), kA2aBytes, out.data());
+    for (int from = 0; from < p; ++from) {
+      for (std::size_t k = 0; k < kA2aWords; ++k) {
+        ASSERT_EQ(out[static_cast<std::size_t>(from) * kA2aWords + k], word(from, me, k))
+            << "alltoall word " << k << " from rank " << from;
+      }
+    }
+
+    std::vector<std::byte> b(1000, std::byte{0});
+    if (me == 3) {
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::byte>(i * 13 + 1);
+    }
+    engine.broadcast(b.data(), b.size(), 3);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      ASSERT_EQ(b[i], static_cast<std::byte>(i * 13 + 1)) << "broadcast byte " << i;
+    }
+
+    std::vector<double> x(64);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = me + 0.5 * static_cast<double>(i);
+    engine.allreduce_sum(x.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], p * (p - 1) / 2.0 + p * 0.5 * static_cast<double>(i)) << "element " << i;
+    }
+
+    engine.barrier();
+  });
+  std::uint64_t advances = 0;
+  std::uint64_t empty = 0;
+  for (int r = 0; r < p; ++r) {
+    pami::Process& proc = world.machine().process(r);
+    for (int c = 0; c < proc.num_contexts(); ++c) {
+      advances += proc.context(c).stats().advance_calls;
+      empty += proc.context(c).stats().empty_advances;
+    }
+  }
+  EXPECT_EQ(world.elapsed(), Time{6007619142});
+  EXPECT_EQ(advances, 43372u);
+  EXPECT_EQ(empty, 40512u);
+}
+
+// ---------------------------------------------------------------------------
 // Selection table and overrides.
 
 TEST(Selection, DefaultsMatchTheTable) {

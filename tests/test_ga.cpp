@@ -2,6 +2,9 @@
 // across block boundaries, accumulate, and the shared counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/comm.hpp"
 #include "ga/global_array.hpp"
 
@@ -63,6 +66,51 @@ TEST(Distribution, UnevenBlocksHandled) {
   EXPECT_EQ(c0hi - c0lo, 4);
   const auto [c2lo, c2hi] = dist.col_range(2);
   EXPECT_EQ(c2hi - c2lo, 3);
+}
+
+/// The largest block by scanning every block of the grid.
+std::int64_t largest_block_by_scan(const Distribution2D& dist) {
+  std::int64_t largest = 0;
+  for (int gr = 0; gr < dist.grid_rows(); ++gr) {
+    for (int gc = 0; gc < dist.grid_cols(); ++gc) {
+      const auto [rlo, rhi] = dist.row_range(gr);
+      const auto [clo, chi] = dist.col_range(gc);
+      largest = std::max(largest, (rhi - rlo) * (chi - clo));
+    }
+  }
+  return largest;
+}
+
+TEST(Distribution, LargestBlockIsTheFirst) {
+  struct Shape {
+    int p;
+    std::int64_t rows, cols;
+  };
+  // Even splits, rows and cols not divisible by the grid, and grids
+  // with more grid rows (cols) than the matrix has rows (cols).
+  for (const Shape& s : {Shape{1, 5, 5}, Shape{4, 8, 8}, Shape{6, 37, 53},
+                         Shape{12, 10, 7}, Shape{16, 3, 40}, Shape{16, 40, 3},
+                         Shape{30, 4, 2}, Shape{7, 1, 13}, Shape{64, 9, 100}}) {
+    Distribution2D dist(s.p, s.rows, s.cols);
+    EXPECT_EQ(dist.max_block_elems(), largest_block_by_scan(dist))
+        << s.p << " ranks, " << s.rows << " x " << s.cols;
+  }
+  Distribution2D members(std::vector<int>{0, 2, 3, 5, 8, 9}, 5, 11);
+  EXPECT_EQ(members.max_block_elems(), largest_block_by_scan(members));
+}
+
+TEST(GlobalArrayTest, MembersSlabIsTheLargestBlock) {
+  // Member-list constructor over a 2 x 3 grid, 5 x 7: blocks 3 or 2
+  // rows by 3 or 2 cols, so every rank's slab holds 3 x 3 doubles.
+  armci::World world(make_cfg(6));
+  world.spmd([](armci::Comm& comm) {
+    GlobalArray a(comm, 5, 7, std::vector<int>{0, 1, 2, 3, 4, 5});
+    EXPECT_EQ(comm.world().heaps().back()->bytes_per_rank(),
+              static_cast<std::size_t>(largest_block_by_scan(a.distribution())) *
+                  sizeof(double));
+    EXPECT_EQ(largest_block_by_scan(a.distribution()), 9);
+    a.sync();
+  });
 }
 
 TEST(GlobalArrayTest, FillAndReadBack) {

@@ -1,6 +1,10 @@
 // Unit tests for the discrete-event engine and fibers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -185,6 +189,110 @@ TEST(Fiber, CurrentTracksRunningFiber) {
   });
   engine.run();
   EXPECT_EQ(engine.current(), nullptr);
+}
+
+// One waiter polls a flag with an 80 ns + 200 ns idle loop, either on
+// its own fiber (sleep_for twice per pass) or replayed by the engine.
+// Other fibers and events land flag writes and their own wakes on the
+// loop's instants, so any change to a wake's instant or FIFO position
+// reorders the log.
+struct IdleScenario {
+  std::vector<std::pair<Time, std::string>> log;
+  std::uint64_t events = 0;
+  Time resumed = -1;
+};
+
+IdleScenario run_idle_scenario(bool replay) {
+  Engine engine;
+  IdleScenario out;
+  int flag = 0;
+  bool urgent = false;
+  auto note = [&](const char* who) { out.log.emplace_back(engine.now(), who); };
+  // The two steps of a pass; true when the step has nothing to do.
+  auto step0 = [&] {
+    note("w0");
+    return !urgent;
+  };
+  auto step1 = [&] {
+    note("w1");
+    return flag < 3;
+  };
+  auto serve_urgent = [&] {
+    urgent = false;
+    note("w urgent");
+  };
+  engine.spawn("waiter", [&] {
+    if (replay) {
+      const std::function<bool(int)> idle = [&](int phase) {
+        return phase == 0 ? step0() : step1();
+      };
+      while (engine.replay_idle_loop(80_ns, 200_ns, idle) == 0) {
+        serve_urgent();
+        engine.sleep_for(200_ns);
+        if (!step1()) break;
+      }
+    } else {
+      do {
+        engine.sleep_for(80_ns);
+        if (!step0()) serve_urgent();
+        engine.sleep_for(200_ns);
+      } while (step1());
+    }
+    out.resumed = engine.now();
+  });
+  // Wakes on the first pass's phase-0 and phase-1 instants.
+  engine.spawn("a", [&] {
+    engine.sleep_until(80_ns);
+    note("a");
+    engine.sleep_until(280_ns);
+    note("a");
+  });
+  // Written from inside the 80 ns window, landing on the next check:
+  // ahead of the check only if the check's wake is scheduled at the
+  // phase-0 wake, not before it.
+  engine.schedule_at(300_ns, [&] {
+    engine.schedule_at(560_ns, [&] {
+      ++flag;
+      note("x1");
+    });
+  });
+  // Written from inside the 200 ns window, landing exactly on the same
+  // check instant: queued behind the check, seen one pass later.
+  engine.schedule_at(400_ns, [&] {
+    engine.schedule_at(560_ns, [&] {
+      ++flag;
+      note("x2");
+    });
+  });
+  // Makes the waiter resume in the first phase (at 640 ns).
+  engine.schedule_at(600_ns, [&] { urgent = true; });
+  // A fiber whose wake was queued at t=0 lands the last write on the
+  // check instant 1120 ns, ahead of the check.
+  engine.spawn("c", [&] {
+    engine.sleep_until(1120_ns);
+    ++flag;
+    note("c");
+  });
+  engine.run();
+  out.events = engine.events_processed();
+  return out;
+}
+
+TEST(Engine, IdleReplayMatchesSleepLoop) {
+  const IdleScenario loop = run_idle_scenario(false);
+  const IdleScenario replayed = run_idle_scenario(true);
+  EXPECT_EQ(replayed.log, loop.log);
+  EXPECT_EQ(replayed.events, loop.events);
+  EXPECT_EQ(replayed.resumed, loop.resumed);
+  // The scenario does what it claims: both 560 ns writes precede a
+  // check, in different passes, and the phase-0 resume happened.
+  EXPECT_EQ(loop.resumed, 1120_ns);
+  const std::vector<std::pair<Time, std::string>> at560 = {
+      {560_ns, "x1"}, {560_ns, "w1"}, {560_ns, "x2"}};
+  EXPECT_NE(std::search(loop.log.begin(), loop.log.end(), at560.begin(), at560.end()),
+            loop.log.end());
+  const std::pair<Time, std::string> urgent{640_ns, "w urgent"};
+  EXPECT_NE(std::find(loop.log.begin(), loop.log.end(), urgent), loop.log.end());
 }
 
 }  // namespace

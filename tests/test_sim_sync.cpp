@@ -61,6 +61,30 @@ TEST(WaitQueue, WaitUntilNotifiedBeforeDeadline) {
   EXPECT_TRUE(notified);
 }
 
+TEST(WaitQueue, WaitUntilNotifiedAtTheDeadlineInstant) {
+  // The notifier's wake is queued before the waiter's timeout at the
+  // same instant: the notify wins, then the timeout event fires and
+  // finds the waiter already notified. The waiter must not cancel
+  // that already-fired timer.
+  Engine engine;
+  WaitQueue q(engine);
+  bool notified = false;
+  Time woke = 0;
+  engine.spawn("n", [&] {
+    engine.sleep_for(100);
+    q.notify_one();
+  });
+  engine.spawn("w", [&] {
+    notified = q.wait_until(100);
+    woke = engine.now();
+  });
+  engine.run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(woke, 100);
+  EXPECT_EQ(q.waiting(), 0u);
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+}
+
 TEST(SimMutex, MutualExclusionAndStats) {
   Engine engine;
   SimMutex m(engine);

@@ -14,8 +14,10 @@
 #
 # <rev> is exported with `git archive` into a temporary directory
 # (under $TMPDIR, removed on exit) and built there; the working tree
-# builds into build-identity/ at the repo root. Exits 0 when every
-# run's stdout is byte-identical, 1 otherwise.
+# builds into build-identity/ at the repo root. Each run's verdict line
+# also gives its wall seconds from both builds, <rev> first, e.g.
+#   IDENTICAL bench_supp_alltoall 30.8 s -> 10.0 s
+# Exits 0 when every run's stdout is byte-identical, 1 otherwise.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -49,13 +51,17 @@ git -C "${repo}" archive "${sha}" | tar -x -C "${tmp}"
 build "${tmp}" "${tmp}/build"
 build "${repo}" "${repo}/build-identity"
 
-# Runs the <run> operand $2 from the build in $1, stdout to $3.
+# Runs the <run> operand $2 from the build in $1, stdout to $3, and
+# sets `wall` to its wall time in seconds (one decimal).
 run_one() {
-  local dir="$1" out="$3" words
+  local dir="$1" out="$3" words start tenths
   read -ra words <<< "$2"
   local exe="${dir}/bench/${words[0]}"
   [[ -x "${exe}" ]] || exe="${dir}/examples/${words[0]}"
+  start="$(date +%s%N)"
   "${exe}" "${words[@]:1}" > "${out}"
+  tenths=$(( ($(date +%s%N) - start + 50000000) / 100000000 ))
+  wall="$((tenths / 10)).$((tenths % 10))"
 }
 
 same=0
@@ -63,13 +69,14 @@ i=0
 for run in "${runs[@]}"; do
   i=$((i + 1))
   run_one "${tmp}/build" "${run}" "${tmp}/${i}.rev.txt"
+  rev_wall="${wall}"
   run_one "${repo}/build-identity" "${run}" "${tmp}/${i}.tree.txt"
   if diff -u --label "${run}@${rev}" --label "${run}@tree" \
        "${tmp}/${i}.rev.txt" "${tmp}/${i}.tree.txt" >&2; then
-    echo "IDENTICAL ${run}"
+    echo "IDENTICAL ${run} ${rev_wall} s -> ${wall} s"
     same=$((same + 1))
   else
-    echo "DIFFERS   ${run}"
+    echo "DIFFERS   ${run} ${rev_wall} s -> ${wall} s"
   fi
 done
 echo "${same}/${#runs[@]} byte-identical against ${rev} (${sha:0:12})"
