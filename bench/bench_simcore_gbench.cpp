@@ -4,6 +4,9 @@
 // performance of the simulation engine, not virtual-time results.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "core/comm.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -54,6 +57,35 @@ void BM_FiberPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
 BENCHMARK(BM_FiberPingPong)->Arg(1 << 10);
+
+// A token passes around a ring of fibers, so each switch lands on a
+// fiber whose stack and context have gone cold, as in the rank-scale
+// workloads. Items are fiber switches: each fiber's first slice plus
+// one per lap.
+void BM_FiberRing(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kLaps = 16;
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::vector<sim::Fiber*> ring(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      ring[static_cast<std::size_t>(i)] = &engine.spawn("r" + std::to_string(i), [&, i] {
+        for (int lap = 0; lap < kLaps; ++lap) {
+          engine.suspend();
+          // The last fiber's last pass ends the ring.
+          if (i + 1 < n || lap + 1 < kLaps) {
+            engine.resume(*ring[static_cast<std::size_t>((i + 1) % n)]);
+          }
+        }
+      });
+    }
+    engine.schedule_at(0, [&] { engine.resume(*ring[0]); });
+    engine.run();
+    benchmark::DoNotOptimize(engine.now());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * (kLaps + 1));
+}
+BENCHMARK(BM_FiberRing)->Arg(1024);
 
 void BM_TorusRoute(benchmark::State& state) {
   topo::Torus5D torus(topo::bgq_partition_dims(512));

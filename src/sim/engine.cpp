@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <utility>
+
 #include "obs/timeline.hpp"
 #include "sim/trace.hpp"
 
@@ -14,39 +16,40 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_
 
 namespace pgasq::sim {
 
-void Engine::asan_enter_fiber(Fiber& fiber) {
+void Engine::asan_start_switch(Fiber* from, Fiber* to) {
 #if PGASQ_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&asan_scheduler_fake_stack_, fiber.stack_.get(),
-                                 fiber.stack_bytes_);
+  // A finished fiber's stack is never re-entered: with no save slot
+  // ASan drops its fake stack.
+  void** save = from == nullptr ? &asan_scheduler_fake_stack_
+                : from->state_ == Fiber::State::kFinished ? nullptr
+                                                          : &from->asan_fake_stack_;
+  asan_from_scheduler_ = from == nullptr;
+  if (to != nullptr) {
+    __sanitizer_start_switch_fiber(save, to->stack_.get(), to->stack_bytes_);
+  } else {
+    __sanitizer_start_switch_fiber(save, asan_scheduler_stack_bottom_,
+                                   asan_scheduler_stack_size_);
+  }
 #else
-  (void)fiber;
+  (void)from;
+  (void)to;
 #endif
 }
 
-void Engine::asan_back_in_scheduler() {
+void Engine::asan_finish_switch(Fiber* to) {
 #if PGASQ_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(asan_scheduler_fake_stack_, nullptr, nullptr);
-#endif
-}
-
-void Engine::asan_leave_fiber(Fiber& fiber) {
-#if PGASQ_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&fiber.asan_fake_stack_,
-                                 asan_scheduler_stack_bottom_,
-                                 asan_scheduler_stack_size_);
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(
+      to == nullptr ? asan_scheduler_fake_stack_ : to->asan_fake_stack_, &bottom, &size);
+  // Every run() enters its first fiber from its own stack, so the
+  // bounds are known before any switch back to it.
+  if (asan_from_scheduler_) {
+    asan_scheduler_stack_bottom_ = bottom;
+    asan_scheduler_stack_size_ = size;
+  }
 #else
-  (void)fiber;
-#endif
-}
-
-void Engine::asan_back_in_fiber(Fiber& fiber) {
-#if PGASQ_ASAN_FIBERS
-  // Learn (or refresh) the scheduler stack bounds we switched from.
-  __sanitizer_finish_switch_fiber(fiber.asan_fake_stack_,
-                                  &asan_scheduler_stack_bottom_,
-                                  &asan_scheduler_stack_size_);
-#else
-  (void)fiber;
+  (void)to;
 #endif
 }
 
@@ -96,30 +99,17 @@ void Engine::run() {
   PGASQ_CHECK(!running_, << "Engine::run is not reentrant");
   PGASQ_CHECK(current_ == nullptr);
   running_ = true;
-  while (!queue_.empty()) {
-    Event* ev = queue_.top();
-    queue_.pop();
-    const bool skip = !cancelled_.empty() && cancelled_.erase(ev->id) != 0;
-    if (!skip) {
-      PGASQ_CHECK(ev->time >= now_);
-      now_ = ev->time;
-      ++events_processed_;
-      if (timeline_ != nullptr) {
-        timeline_->sample(tl_queue_depth_, now_,
-                          static_cast<double>(queue_.size()));
-      }
-      ev->fn();
-      if (pending_exception_) {
-        delete ev;
-        running_ = false;
-        std::exception_ptr e = pending_exception_;
-        pending_exception_ = nullptr;
-        std::rethrow_exception(e);
-      }
-    }
-    delete ev;
+  // The loop hands off from fiber to fiber and comes back to this
+  // stack when it stops or a fiber finishes.
+  Fiber* next = dispatch(nullptr);
+  while (next != nullptr) {
+    switch_stacks(nullptr, next);
+    next = finished_ != nullptr ? dispatch(std::exchange(finished_, nullptr)) : nullptr;
   }
   running_ = false;
+  if (pending_exception_) {
+    std::rethrow_exception(std::exchange(pending_exception_, nullptr));
+  }
   if (live_fibers_ != 0) {
     std::string blocked;
     for (const auto& f : fibers_) {
@@ -137,6 +127,48 @@ void Engine::run() {
   }
 }
 
+Fiber* Engine::dispatch(Fiber* ended) {
+  Event* ev = nullptr;
+  try {
+    if (ended != nullptr) {
+      ev = std::exchange(slice_event_, nullptr);
+      if (trace_ != nullptr && ended->trace_track_ != 0xffffffffu) {
+        trace_->end_slice(ended->trace_track_, now_);
+      }
+      ended->check_canary();
+      delete std::exchange(ev, nullptr);
+    }
+    while (!pending_exception_ && !queue_.empty()) {
+      ev = queue_.top();
+      queue_.pop();
+      if (cancelled_.empty() || cancelled_.erase(ev->id) == 0) {
+        PGASQ_CHECK(ev->time >= now_);
+        now_ = ev->time;
+        ++events_processed_;
+        if (timeline_ != nullptr) {
+          timeline_->sample(tl_queue_depth_, now_,
+                            static_cast<double>(queue_.size()));
+        }
+        ev->fn();
+        if (Fiber* fiber = std::exchange(woken_, nullptr)) {
+          // Callbacks may have run on `ended`'s stack too.
+          if (ended != nullptr) ended->check_canary();
+          switch_in(*fiber);
+          slice_event_ = ev;
+          return fiber;
+        }
+      }
+      delete ev;
+      ev = nullptr;
+    }
+    if (ended != nullptr) ended->check_canary();
+  } catch (...) {
+    delete ev;
+    set_pending_exception(std::current_exception());
+  }
+  return nullptr;
+}
+
 void Engine::sleep_for(Time delay) {
   PGASQ_CHECK(delay >= 0, << "negative sleep " << delay);
   Fiber* self = current_;
@@ -145,7 +177,7 @@ void Engine::sleep_for(Time delay) {
   // block_current() below, before the wake event can possibly fire.
   schedule_after(delay, [this, self] {
     self->state_ = Fiber::State::kReady;
-    switch_to_fiber(*self);
+    woken_ = self;
   });
   block_current(Fiber::State::kBlocked);
 }
@@ -187,7 +219,7 @@ void Engine::idle_wake(IdleReplay& r) {
     return;
   }
   r.fiber->state_ = Fiber::State::kReady;
-  switch_to_fiber(*r.fiber);
+  woken_ = r.fiber;
 }
 
 void Engine::resume(Fiber& fiber, Time delay) {
@@ -195,7 +227,7 @@ void Engine::resume(Fiber& fiber, Time delay) {
               << "resume of fiber '" << fiber.name() << "' in state "
               << static_cast<int>(fiber.state()));
   fiber.state_ = Fiber::State::kReady;
-  schedule_after(delay, [this, f = &fiber] { switch_to_fiber(*f); });
+  schedule_after(delay, [this, f = &fiber] { woken_ = f; });
 }
 
 void Engine::set_timeline(obs::Timeline* timeline) {
@@ -214,19 +246,19 @@ void Engine::set_pending_exception(std::exception_ptr e) {
 }
 
 void Engine::on_fiber_finished(Fiber& fiber) {
-  (void)fiber;
+  PGASQ_CHECK(current_ == &fiber);
   PGASQ_CHECK(live_fibers_ > 0);
   --live_fibers_;
-}
-
-void Engine::switch_to_scheduler(Fiber& from) {
-  PGASQ_CHECK(current_ == &from);
   current_ = nullptr;
-  asan_leave_fiber(from);
-  PGASQ_CHECK(swapcontext(&from.context_, &scheduler_context_) == 0);
+  // Objects in this fiber's dead frames may still be referenced (a
+  // rank's Comm by its async-progress fiber), so the loop goes on from
+  // run()'s stack instead of reusing this one.
+  finished_ = &fiber;
+  switch_stacks(&fiber, nullptr);
+  PGASQ_UNREACHABLE("finished fiber resumed");
 }
 
-void Engine::switch_to_fiber(Fiber& fiber) {
+void Engine::switch_in(Fiber& fiber) {
   PGASQ_CHECK(current_ == nullptr,
               << "fiber switch while fiber '" << current_->name() << "' is running");
   PGASQ_CHECK(fiber.state() == Fiber::State::kReady,
@@ -234,25 +266,30 @@ void Engine::switch_to_fiber(Fiber& fiber) {
               << static_cast<int>(fiber.state()));
   fiber.state_ = Fiber::State::kRunning;
   current_ = &fiber;
+  ++fiber_switches_;
   if (timeline_ != nullptr) timeline_->count(tl_fiber_switches_, now_);
-  const bool tracing = trace_ != nullptr && fiber.trace_track_ != 0xffffffffu;
-  if (tracing) trace_->begin_slice(fiber.trace_track_, now_);
-  asan_enter_fiber(fiber);
-  PGASQ_CHECK(swapcontext(&scheduler_context_, &fiber.context_) == 0);
-  // Back in the scheduler: the fiber blocked or finished.
-  asan_back_in_scheduler();
-  if (tracing) trace_->end_slice(fiber.trace_track_, now_);
-  fiber.check_canary();
+  if (trace_ != nullptr && fiber.trace_track_ != 0xffffffffu) {
+    trace_->begin_slice(fiber.trace_track_, now_);
+  }
+}
+
+void Engine::switch_stacks(Fiber* from, Fiber* to) {
+  ++stack_switches_;
+  asan_start_switch(from, to);
+  PGASQ_CHECK(swapcontext(from != nullptr ? &from->context_ : &scheduler_context_,
+                          to != nullptr ? &to->context_ : &scheduler_context_) == 0);
+  // Back on `from`'s stack: a loop switched it in, or (run()'s stack)
+  // the loop stopped or a fiber finished.
+  asan_finish_switch(from);
 }
 
 void Engine::block_current(Fiber::State new_state) {
   Fiber* self = current_;
   self->state_ = new_state;
   current_ = nullptr;
-  asan_leave_fiber(*self);
-  PGASQ_CHECK(swapcontext(&self->context_, &scheduler_context_) == 0);
-  // Resumed: scheduler set us running again.
-  asan_back_in_fiber(*self);
+  // The next event may wake this same fiber: then no switch at all.
+  Fiber* next = dispatch(self);
+  if (next != self) switch_stacks(self, next);
   PGASQ_CHECK(current_ == self);
 }
 

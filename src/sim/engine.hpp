@@ -6,6 +6,13 @@
 // blocking primitives sleep_for / suspend / resume; everything higher
 // up (network delivery, PAMI progress, ARMCI protocols) is expressed
 // as events and fiber wakeups.
+//
+// The event loop runs on the stack of the fiber that last blocked, so
+// plain event callbacks run on fiber stacks. A wake of that same fiber
+// returns to it without a stack switch, and a wake of another fiber
+// swaps straight into it. run()'s own stack starts the loop, hosts it
+// after a fiber finishes (the finished stack is never reused), and
+// takes it back when the queue drains or an exception is pending.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +107,13 @@ class Engine {
   std::size_t live_fibers() const { return live_fibers_; }
   /// Total events processed (diagnostics).
   std::uint64_t events_processed() const { return events_processed_; }
+  /// Fiber slices started: each time a fiber is switched in to run
+  /// (diagnostics).
+  std::uint64_t fiber_switches() const { return fiber_switches_; }
+  /// swapcontext calls made by the engine (diagnostics): one per fiber
+  /// switch, none when a fiber wakes itself, plus one out of each
+  /// finished fiber and one into and out of each run().
+  std::uint64_t stack_switches() const { return stack_switches_; }
   /// Cancelled ids not yet popped from the queue (diagnostics).
   std::size_t cancelled_pending() const { return cancelled_.size(); }
 
@@ -125,10 +139,11 @@ class Engine {
 
   // Internal — used by Fiber.
   void set_pending_exception(std::exception_ptr e);
-  void on_fiber_finished(Fiber& fiber);
-  void switch_to_scheduler(Fiber& from);
-  /// ASan fiber annotation, called at fiber entry (no-op without ASan).
-  void asan_back_in_fiber(Fiber& fiber);
+  /// Leaves the finished fiber for run()'s stack; never returns.
+  [[noreturn]] void on_fiber_finished(Fiber& fiber);
+  /// ASan annotation after a switch onto `to`'s stack (nullptr: run()'s
+  /// stack); no-op without ASan.
+  void asan_finish_switch(Fiber* to);
 
  private:
   struct Event {
@@ -152,15 +167,22 @@ class Engine {
     int phase;
   };
 
-  void switch_to_fiber(Fiber& fiber);
+  /// Runs the event loop on the calling stack. `ended` is the fiber
+  /// whose slice just ended (nullptr when there is none). Returns
+  /// the fiber a wake switched in, or nullptr when control must go
+  /// back to run(): the queue drained or an exception is pending. An
+  /// exception from a callback or a check is caught here and made
+  /// pending, so it never unwinds into the hosting fiber.
+  Fiber* dispatch(Fiber* ended);
+  void switch_in(Fiber& fiber);
+  /// One swapcontext from `from`'s stack to `to`'s (nullptr: run()'s).
+  void switch_stacks(Fiber* from, Fiber* to);
   void block_current(Fiber::State new_state);
   /// One wake of a replayed idle loop.
   void idle_wake(IdleReplay& r);
 
-  // ASan fiber annotations (no-ops unless built with ASan).
-  void asan_enter_fiber(Fiber& fiber);      // scheduler side, before swap in
-  void asan_back_in_scheduler();            // scheduler side, after swap out
-  void asan_leave_fiber(Fiber& fiber);      // fiber side, before swap out
+  /// ASan annotation before leaving `from` for `to` (no-op without ASan).
+  void asan_start_switch(Fiber* from, Fiber* to);
 
   Time now_ = 0;
   EventId next_event_id_ = 1;
@@ -174,18 +196,28 @@ class Engine {
   ucontext_t scheduler_context_{};
   bool running_ = false;
   std::exception_ptr pending_exception_;
+  /// The event that switched in the running fiber; freed when its
+  /// slice ends, as if the switch had happened inside the event.
+  Event* slice_event_ = nullptr;
+  /// Set by a wake callback: the fiber its event switches in.
+  Fiber* woken_ = nullptr;
+  /// Set by a finishing fiber for run(), which ends its slice.
+  Fiber* finished_ = nullptr;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t fiber_switches_ = 0;
+  std::uint64_t stack_switches_ = 0;
   std::uint64_t next_fiber_id_ = 1;
   TraceRecorder* trace_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   std::uint32_t tl_queue_depth_ = 0xffffffffu;   // obs::Timeline::kNone
   std::uint32_t tl_fiber_switches_ = 0xffffffffu;
   std::function<bool(const std::string&)> track_mute_;
-  // ASan bookkeeping: the scheduler's fake stack while inside a fiber,
-  // and the scheduler (main thread) stack bounds learned at fiber entry.
+  // ASan bookkeeping: run()'s fake stack while it is switched out, and
+  // its (main thread) stack bounds, learned on arrival from it.
   void* asan_scheduler_fake_stack_ = nullptr;
   const void* asan_scheduler_stack_bottom_ = nullptr;
   std::size_t asan_scheduler_stack_size_ = 0;
+  bool asan_from_scheduler_ = false;
 };
 
 }  // namespace pgasq::sim

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::sim {
@@ -189,6 +190,159 @@ TEST(Fiber, CurrentTracksRunningFiber) {
   });
   engine.run();
   EXPECT_EQ(engine.current(), nullptr);
+}
+
+// Two fibers hand a turn back and forth over WaitQueues: every slice
+// but the first is entered straight from the other fiber's stack.
+TEST(Engine, PingPongMakesOneStackSwitchPerFiberSwitch) {
+  constexpr int kRounds = 100;
+  Engine engine;
+  WaitQueue qa(engine);
+  WaitQueue qb(engine);
+  bool a_turn = true;
+  engine.spawn("a", [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      while (!a_turn) qa.wait();
+      a_turn = false;
+      qb.notify_one();
+    }
+  });
+  engine.spawn("b", [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      while (a_turn) qb.wait();
+      a_turn = true;
+      qa.notify_one();
+    }
+  });
+  engine.run();
+  // One slice per round per fiber, each switched in by its own event.
+  // A loop that bounces through run()'s stack makes twice as many
+  // stack switches; here only the first entry and each fiber's exit
+  // touch it.
+  EXPECT_EQ(engine.fiber_switches(), 2u * kRounds);
+  EXPECT_EQ(engine.events_processed(), 2u * kRounds);
+  EXPECT_LE(engine.stack_switches(), engine.fiber_switches() + 2);
+}
+
+TEST(Engine, SelfWakeCostsNoStackSwitch) {
+  Engine engine;
+  int callbacks = 0;
+  bool callback_saw_fiber = false;
+  engine.spawn("solo", [&] {
+    for (int i = 0; i < 100; ++i) {
+      // Runs on this fiber's stack while it sleeps.
+      engine.schedule_after(0, [&] {
+        callback_saw_fiber |= engine.current() != nullptr;
+        ++callbacks;
+      });
+      engine.sleep_for(1);
+    }
+  });
+  engine.run();
+  EXPECT_EQ(callbacks, 100);
+  EXPECT_FALSE(callback_saw_fiber);
+  EXPECT_EQ(engine.now(), 100);
+  EXPECT_EQ(engine.fiber_switches(), 101u);
+  EXPECT_EQ(engine.stack_switches(), 2u);  // into the fiber and back out
+}
+
+// A finished fiber's frames may still be referenced, so the loop goes
+// on from run()'s stack: one extra stack switch per finished fiber.
+TEST(Engine, FinishedFiberLeavesThroughRunStack) {
+  Engine engine;
+  std::vector<std::string> log;
+  engine.spawn("sleeper", [&] {
+    engine.sleep_for(10);
+    log.push_back("sleeper@" + std::to_string(engine.now()));
+  });
+  engine.spawn("quick", [&] { log.push_back("quick@" + std::to_string(engine.now())); });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"quick@0", "sleeper@10"}));
+  EXPECT_EQ(engine.fiber_switches(), 3u);
+  // run() -> sleeper -> quick -> (finished) run() -> sleeper -> run().
+  EXPECT_EQ(engine.stack_switches(), 5u);
+}
+
+TEST(Engine, QueueDrainsOnFiberStackThenRunResumesIt) {
+  Engine engine;
+  std::vector<std::string> log;
+  Fiber* first = nullptr;
+  first = &engine.spawn("first", [&] {
+    engine.suspend();
+    log.push_back("first@" + std::to_string(engine.now()));
+  });
+  // Blocks last, so the queue drains on this fiber's stack.
+  Fiber& last = engine.spawn("last", [&] {
+    engine.suspend();
+    log.push_back("last@" + std::to_string(engine.now()));
+    engine.sleep_for(3);
+    engine.resume(*first);
+  });
+  try {
+    engine.run();
+    FAIL() << "expected deadlock error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock: 2 fiber(s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("first, last"), std::string::npos) << what;
+  }
+  EXPECT_EQ(engine.stack_switches(), 3u);
+  engine.schedule_at(engine.now() + 7, [&] { engine.resume(last); });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"last@7", "first@10"}));
+  EXPECT_EQ(engine.live_fibers(), 0u);
+  // run() -> last -> (finished) run() -> first -> run().
+  EXPECT_EQ(engine.stack_switches(), 7u);
+}
+
+TEST(Engine, CallbackExceptionPropagatesAndEngineRunsAgain) {
+  Engine engine;
+  // On run()'s own stack.
+  engine.schedule_at(1, [] { throw Error("boom from callback 1"); });
+  EXPECT_THROW(engine.run(), Error);
+  engine.run();
+  // While the loop runs on the stack of a fiber blocked inside a try.
+  bool caught_in_fiber = false;
+  Time woke = -1;
+  engine.spawn("host", [&] {
+    try {
+      engine.sleep_for(10);
+    } catch (...) {
+      caught_in_fiber = true;
+    }
+    woke = engine.now();
+  });
+  engine.schedule_after(5, [] { throw Error("boom from callback 2"); });
+  try {
+    engine.run();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("boom from callback 2"), std::string::npos);
+  }
+  EXPECT_FALSE(caught_in_fiber);
+  EXPECT_EQ(engine.now(), 6);
+  engine.run();
+  EXPECT_FALSE(caught_in_fiber);
+  EXPECT_EQ(woke, 11);
+  EXPECT_EQ(engine.live_fibers(), 0u);
+}
+
+TEST(Engine, WakeOfFinishedFiberFailsFromRun) {
+  Engine engine;
+  Fiber* f = nullptr;
+  f = &engine.spawn("f", [&] { engine.sleep_for(10); });
+  // Accepted while f sleeps; f's own wake runs it to the end first.
+  engine.schedule_at(5, [&] { engine.resume(*f, 100); });
+  try {
+    engine.run();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("switch to fiber 'f' in state 3"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.now(), 105);
+  EXPECT_EQ(f->state(), Fiber::State::kFinished);
 }
 
 // One waiter polls a flag with an 80 ns + 200 ns idle loop, either on

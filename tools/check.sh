@@ -262,8 +262,8 @@ timeline_gate build-check
 pass build-check-ubsan -DPGASQ_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 if [[ "${run_asan}" == 1 ]]; then
-  # Validation tests abort mid-run by throwing out of an SPMD body;
-  # abandoned fibers' heap is unreachable by design (see lsan.supp).
+  # Node-death runs drop an in-flight accumulate's ack closure by
+  # design (see lsan.supp).
   export LSAN_OPTIONS="suppressions=${repo}/tools/lsan.supp:print_suppressions=0"
   pass build-check-asan -DPGASQ_SANITIZE=address
 fi
