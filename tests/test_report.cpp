@@ -1,9 +1,20 @@
-// The post-run communication report: content sanity and histogram
-// plumbing through CommStats.
+// The post-run communication report: content sanity, histogram
+// plumbing through CommStats, and byte-exact golden text and JSON
+// reports over worlds that light every statistics section.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <vector>
+
+#include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
+#include "core/report_json.hpp"
+#include "ft/liveness.hpp"
+#include "ft/recovery.hpp"
+#include "kvs/kvs.hpp"
 
 namespace pgasq::armci {
 namespace {
@@ -23,16 +34,12 @@ TEST(Report, ContainsTheRunsTraffic) {
     comm.fetch_add(mem.at(0).offset(8000), 1);
     comm.barrier();
   });
-  ReportOptions opt;
-  opt.include_per_rank = true;
-  const std::string report = render_report(world, opt);
+  const std::string report = render_report(world);
   EXPECT_NE(report.find("pgasq communication report"), std::string::npos);
   EXPECT_NE(report.find("4 ranks"), std::string::npos);
   EXPECT_NE(report.find("rmw (fetch&add etc.)"), std::string::npos);
   EXPECT_NE(report.find("put sizes (log2 buckets):"), std::string::npos);
   EXPECT_NE(report.find("fence calls"), std::string::npos);
-  // Per-rank table lists rank 0..3.
-  EXPECT_NE(report.find("rank"), std::string::npos);
 }
 
 TEST(Report, HistogramsCountEveryOperation) {
@@ -54,6 +61,171 @@ TEST(Report, HistogramsCountEveryOperation) {
   const CommStats total = world.total_stats();
   EXPECT_EQ(total.put_sizes.total(), 2u);
   EXPECT_EQ(total.get_sizes.total(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden reports. Each case renders the text report and the JSON report
+// of one small deterministic run and compares them byte for byte with
+// tests/golden/<case>.txt and <case>.json. Set PGASQ_UPDATE_GOLDEN=1 to
+// rewrite the files from the current code instead of comparing.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Empty when equal; otherwise the first differing line of each side.
+std::string first_difference(const std::string& want, const std::string& got) {
+  std::istringstream a(want), b(got);
+  std::string la, lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_b = static_cast<bool>(std::getline(b, lb));
+    if (!more_a && !more_b) return want == got ? "" : "trailing newline differs";
+    if (more_a != more_b || la != lb) {
+      return "line " + std::to_string(line) + ":\n  golden: " +
+             (more_a ? la : "<end of file>") + "\n  actual: " +
+             (more_b ? lb : "<end of file>");
+    }
+  }
+}
+
+void expect_golden(const std::string& file, const std::string& actual) {
+  const std::string path = std::string(PGASQ_GOLDEN_DIR) + "/" + file;
+  if (std::getenv("PGASQ_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    return;
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path;
+  const std::string diff = first_difference(golden, actual);
+  EXPECT_TRUE(diff.empty()) << file << " differs from the golden at " << diff;
+}
+
+void expect_golden_reports(const std::string& name, const World& world) {
+  expect_golden(name + ".txt", render_report(world));
+  expect_golden(name + ".json", render_json_report(world).dump() + "\n");
+}
+
+// Operations of every kind, fences, blocked-in times, size histograms,
+// per-link accounting, and world plus per-group collectives: 16 ranks,
+// 8 per node, with the hardware collectives off, so the two-level
+// schedules run over their node and leader groups.
+void run_traffic(World& world) {
+  world.spmd([](Comm& comm) {
+    auto& mem = comm.malloc_collective(8192);
+    auto* buf = static_cast<std::byte*>(comm.malloc_local(8192));
+    auto* x = static_cast<double*>(comm.malloc_local(64 * sizeof(double)));
+    for (int i = 0; i < 64; ++i) x[i] = comm.rank() + i;
+    const int peer = (comm.rank() + 1) % comm.nprocs();
+    comm.put(buf, mem.at(peer), 4096);
+    comm.get(mem.at(peer), buf, 64);
+    comm.acc(1.0, x, mem.at(peer), 8);
+    comm.put_strided(buf, mem.at(peer), StridedSpec::rect2d(16, 64, 128, 128));
+    comm.fetch_add(mem.at(0).offset(8000), 1);
+    comm.fence(peer);
+    auto& engine = coll::CollEngine::of(comm);
+    engine.allreduce_sum(x, 64);
+    engine.broadcast(buf, 1024, 0);
+    engine.barrier();
+  });
+}
+
+TEST(Report, GoldenTextAndJson) {
+  {
+    WorldConfig cfg;
+    cfg.machine.num_ranks = 16;
+    cfg.machine.ranks_per_node = 8;
+    cfg.machine.obs.links = true;
+    cfg.armci.coll = {{"hw", "0"}};
+    World world(cfg);
+    run_traffic(world);
+    expect_golden_reports("traffic", world);
+  }
+  {
+    // Packet loss and corruption under transport CRC verification, with
+    // a one-credit flow window backpressuring the non-blocking puts.
+    WorldConfig cfg;
+    cfg.machine.num_ranks = 4;
+    cfg.machine.ranks_per_node = 1;
+    cfg.machine.dims = topo::Coord5{4, 1, 1, 1, 1};
+    cfg.machine.fault.seed = 5;
+    cfg.machine.fault.drop_prob = 0.05;
+    cfg.machine.fault.corrupt_prob = 0.05;
+    cfg.machine.integrity.configured = true;
+    cfg.machine.flow.configured = true;
+    cfg.machine.flow.credits = 1;
+    World world(cfg);
+    world.spmd([](Comm& comm) {
+      constexpr std::size_t kBytes = 2048;
+      auto& mem = comm.malloc_collective(4 * kBytes);
+      auto* src = static_cast<std::byte*>(comm.malloc_local(4 * kBytes));
+      const RankId dst = (comm.rank() + 1) % comm.nprocs();
+      for (int round = 0; round < 8; ++round) {
+        Handle h[4];
+        for (int i = 0; i < 4; ++i) {
+          const std::size_t off = static_cast<std::size_t>(i) * kBytes;
+          comm.nb_put(src + off, mem.at(dst, off), kBytes, h[i]);
+        }
+        for (auto& hh : h) comm.wait(hh);
+      }
+      comm.get(mem.at(dst), src, kBytes);
+      comm.barrier();
+    });
+    expect_golden_reports("faults", world);
+  }
+  {
+    // A node death during a barrier loop: detection, quarantine and one
+    // rollback of the seven survivors.
+    WorldConfig cfg;
+    cfg.machine.num_ranks = 8;
+    cfg.machine.ranks_per_node = 1;
+    cfg.machine.dims = topo::Coord5{2, 2, 2, 1, 1};
+    cfg.machine.fault.node_fails.push_back({/*node=*/4, from_ms(15)});
+    World world(cfg);
+    world.spmd([](Comm& comm) {
+      coll::CollEngine::of(comm);
+      ft::Runtime rt(comm, {}, std::vector<ga::GlobalArray*>{});
+      int i = 0;
+      while (i < 2000) {
+        try {
+          comm.compute(from_us(10));
+          comm.barrier();
+          ++i;
+        } catch (const ft::PeerDeadError&) {
+          bool alive = true;
+          while (true) {
+            try {
+              alive = rt.recover();
+              break;
+            } catch (const ft::PeerDeadError&) {
+            }
+          }
+          if (!alive) return;
+        }
+      }
+    });
+    ASSERT_NE(world.machine().monitor(), nullptr);
+    EXPECT_EQ(world.machine().monitor()->stats().detections, 1u);
+    expect_golden_reports("failstop", world);
+  }
+  {
+    // Application metrics published by the key-value service.
+    WorldConfig cfg;
+    cfg.machine.num_ranks = 7;
+    World world(cfg);
+    kvs::KvConfig kc;
+    kc.keys = 256;
+    kc.requests = 8;
+    kc.get_ratio = 0.5;
+    kc.faa_ratio = 0.2;
+    kc.zipf_theta = 0.99;
+    const kvs::KvResult r = kvs::run_workload(world, kc);
+    kvs::export_metrics(world.app_metrics(), r, {{"mix", "zipfian"}});
+    expect_golden_reports("kvs", world);
+  }
 }
 
 TEST(RegionCachePolicy, LruEvictsByRecencyLfuByFrequency) {
