@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/comm.hpp"
-#include "core/report_json.hpp"
+#include "core/report.hpp"
 #include "core/world.hpp"
 #include "fault/fault.hpp"
 #include "fault/integrity.hpp"

@@ -10,7 +10,7 @@
 
 #include "apps/scf.hpp"
 #include "core/comm.hpp"
-#include "core/report_json.hpp"
+#include "core/report.hpp"
 #include "fault/fault.hpp"
 #include "fault/integrity.hpp"
 #include "ft/recovery.hpp"

@@ -85,6 +85,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(n), updates, batch);
   std::printf("  mass conservation: scattered %.0f, array holds %.0f — %s\n\n",
               expected, total, expected == total ? "OK" : "MISMATCH");
-  armci::print_report(world);
+  std::fputs(armci::render_report(world).c_str(), stdout);
   return expected == total ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 // Minimal JSON value tree: enough to build, serialize, parse, and
-// round-trip the machine-readable report (core/report_json) and to let
+// round-trip the machine-readable report (core/report) and to let
 // tests inspect trace files — without an external dependency.
 //
 // Objects preserve insertion order so two identical runs dump

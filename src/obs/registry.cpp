@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/histogram.hpp"
+#include "util/stats.hpp"
 
 namespace pgasq::obs {
 
@@ -15,12 +17,11 @@ Registry::Metric& Registry::find_or_create(const std::string& name,
       return m;
     }
   }
-  Metric m;
+  Metric& m = metrics_.emplace_back();
   m.name = name;
   m.labels = labels;
   m.kind = kind;
-  metrics_.push_back(std::move(m));
-  return metrics_.back();
+  return m;
 }
 
 void Registry::set_counter(const std::string& name, std::uint64_t value,
@@ -28,42 +29,23 @@ void Registry::set_counter(const std::string& name, std::uint64_t value,
   find_or_create(name, labels, Kind::kCounter).count = value;
 }
 
-void Registry::add_counter(const std::string& name, std::uint64_t delta,
-                           Labels labels) {
-  find_or_create(name, labels, Kind::kCounter).count += delta;
-}
-
 void Registry::set_gauge(const std::string& name, double value, Labels labels) {
   find_or_create(name, labels, Kind::kGauge).value = value;
 }
 
-void Registry::set_histogram(const std::string& name, const Log2Histogram& hist,
-                             Labels labels) {
+template <class Hist>
+void Registry::set_histogram(const std::string& name, const Hist& hist, Labels labels) {
   Metric& m = find_or_create(name, labels, Kind::kHistogram);
   m.total = hist.total();
   m.buckets.clear();
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    m.buckets.push_back(hist.bucket(i));
-  }
+  for (std::size_t i = 0; i < hist.bucket_count(); ++i) m.buckets.push_back(hist.bucket(i));
 }
-
-void Registry::set_histogram(const std::string& name,
-                             const util::Histogram& hist, Labels labels) {
-  Metric& m = find_or_create(name, labels, Kind::kHistogram);
-  m.total = hist.total();
-  m.buckets.clear();
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    m.buckets.push_back(hist.bucket(i));
-  }
-}
+template void Registry::set_histogram(const std::string&, const Log2Histogram&, Labels);
+template void Registry::set_histogram(const std::string&, const util::Histogram&, Labels);
 
 void Registry::merge_from(const Registry& other) {
   for (const Metric& src : other.metrics_) {
-    Metric& dst = find_or_create(src.name, src.labels, src.kind);
-    dst.count = src.count;
-    dst.value = src.value;
-    dst.buckets = src.buckets;
-    dst.total = src.total;
+    find_or_create(src.name, src.labels, src.kind) = src;
   }
 }
 
@@ -71,46 +53,27 @@ std::string Registry::to_text() const {
   std::string out;
   char buf[64];
   for (const auto& m : metrics_) {
-    out += "  ";
-    out += m.name;
+    out += "  " + m.name;
     if (!m.labels.empty()) {
-      out += '{';
-      bool first = true;
+      char sep = '{';
       for (const auto& [k, v] : m.labels) {
-        if (!first) out += ',';
-        first = false;
-        out += k;
-        out += '=';
-        out += v;
+        out += sep + k + '=' + v;
+        sep = ',';
       }
       out += '}';
     }
-    out += " = ";
-    switch (m.kind) {
-      case Kind::kCounter:
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(m.count));
-        out += buf;
-        break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof buf, "%.3f", m.value);
-        out += buf;
-        break;
-      case Kind::kHistogram:
-        std::snprintf(buf, sizeof buf, "histogram(total=%llu)",
-                      static_cast<unsigned long long>(m.total));
-        out += buf;
-        break;
+    if (m.kind == Kind::kCounter) {
+      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(m.count));
+    } else if (m.kind == Kind::kGauge) {
+      std::snprintf(buf, sizeof buf, "%.3f", m.value);
+    } else {
+      std::snprintf(buf, sizeof buf, "histogram(total=%llu)",
+                    static_cast<unsigned long long>(m.total));
     }
+    out += " = ";
+    out += buf;
     out += '\n';
   }
-  return out;
-}
-
-std::vector<std::string> Registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(metrics_.size());
-  for (const auto& m : metrics_) out.push_back(m.name);
   return out;
 }
 
@@ -124,23 +87,18 @@ Json Registry::to_json() const {
       for (const auto& [k, v] : m.labels) labels.set(k, Json::string(v));
       j.set("labels", std::move(labels));
     }
-    switch (m.kind) {
-      case Kind::kCounter:
-        j.set("type", Json::string("counter"));
-        j.set("value", Json::number(m.count));
-        break;
-      case Kind::kGauge:
-        j.set("type", Json::string("gauge"));
-        j.set("value", Json::number(m.value));
-        break;
-      case Kind::kHistogram: {
-        j.set("type", Json::string("histogram"));
-        j.set("total", Json::number(m.total));
-        Json buckets = Json::array();
-        for (const std::uint64_t b : m.buckets) buckets.push(Json::number(b));
-        j.set("buckets", std::move(buckets));
-        break;
-      }
+    if (m.kind == Kind::kHistogram) {
+      j.set("type", Json::string("histogram"));
+      j.set("total", Json::number(m.total));
+      Json buckets = Json::array();
+      for (const std::uint64_t b : m.buckets) buckets.push(Json::number(b));
+      j.set("buckets", std::move(buckets));
+    } else if (m.kind == Kind::kCounter) {
+      j.set("type", Json::string("counter"));
+      j.set("value", Json::number(m.count));
+    } else {
+      j.set("type", Json::string("gauge"));
+      j.set("value", Json::number(m.value));
     }
     arr.push(std::move(j));
   }

@@ -2,11 +2,12 @@
 // counters, gauges, and log2 histograms with optional labels.
 //
 // The registry is a *snapshot* container: at report time the runtime
-// (core/report_json) folds the ad-hoc stats structs — CommStats,
-// coll::CollStats, fault::FaultStats, ft tables, link counters — into
-// one registry and serializes it. Identical runs produce byte-identical
-// serializations because insertion order is preserved and values are
-// integers or deterministically formatted doubles.
+// (core/report) folds the ad-hoc stats structs — CommStats, CollStats,
+// fault, integrity, ft and flow tables, link counters — into one
+// registry, serializes it as the JSON report and renders the text
+// report from the same declarations. Identical runs produce
+// byte-identical serializations because insertion order is preserved
+// and values are integers or deterministically formatted doubles.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "util/histogram.hpp"
-#include "util/stats.hpp"
 
 namespace pgasq::obs {
 
@@ -28,18 +27,12 @@ class Registry {
   /// Sets (or overwrites) a monotone counter.
   void set_counter(const std::string& name, std::uint64_t value,
                    Labels labels = {});
-  /// Accumulates into a counter, creating it at zero first.
-  void add_counter(const std::string& name, std::uint64_t delta,
-                   Labels labels = {});
   /// Sets a point-in-time double-valued gauge (times, utilizations).
   void set_gauge(const std::string& name, double value, Labels labels = {});
-  /// Snapshots a log2-bucketed histogram.
-  void set_histogram(const std::string& name, const Log2Histogram& hist,
-                     Labels labels = {});
-  /// Snapshots a util::Histogram (HDR-style log-bucketed latency
-  /// histogram); serialized with the same {"total", "buckets"} shape.
-  void set_histogram(const std::string& name, const util::Histogram& hist,
-                     Labels labels = {});
+  /// Snapshots a Log2Histogram or an HDR-style util::Histogram (the two
+  /// types registry.cpp instantiates); serialized as {"total", "buckets"}.
+  template <class Hist>
+  void set_histogram(const std::string& name, const Hist& hist, Labels labels = {});
 
   /// Folds every metric of `other` into this registry (set semantics:
   /// same name+labels overwrites). Lets an application accumulate its
@@ -51,10 +44,6 @@ class Registry {
   /// Deterministic plain-text rendering, one "name{k=v,...} = value"
   /// line per metric (histograms show their totals); insertion order.
   std::string to_text() const;
-
-  /// All metric names in insertion order (duplicates possible when the
-  /// same name carries different labels).
-  std::vector<std::string> names() const;
 
   /// Serializes to a JSON array of
   ///   {"name":…, "type":"counter"|"gauge"|"histogram",

@@ -419,7 +419,7 @@ TEST(CollReport, ReportListsCollectiveUsage) {
     engine.allreduce_sum(x.data(), x.size());
     engine.barrier();
   });
-  const std::string report = armci::render_report(world, armci::ReportOptions{});
+  const std::string report = armci::render_report(world);
   EXPECT_NE(report.find("collective"), std::string::npos);
   EXPECT_NE(report.find("allreduce"), std::string::npos);
   EXPECT_NE(report.find("barrier"), std::string::npos);

@@ -296,7 +296,7 @@ TEST(FaultInjection, ReportRendersFaultTable) {
     }
     comm.barrier();
   });
-  const std::string report = render_report(world, {});
+  const std::string report = render_report(world);
   EXPECT_NE(report.find("fault injection & recovery"), std::string::npos);
   EXPECT_NE(report.find("retransmits"), std::string::npos);
 }

@@ -226,7 +226,7 @@ TEST(FtRecovery, ReportRendersRecoveryTable) {
       {/*node=*/3, scf_start + static_cast<Time>(0.5 * clean.wall_time)});
   World world(cfg);
   apps::run_scf(world, scf);
-  const std::string report = render_report(world, {});
+  const std::string report = render_report(world);
   EXPECT_NE(report.find("fail-stop recovery"), std::string::npos);
   EXPECT_NE(report.find("node deaths declared"), std::string::npos);
   EXPECT_NE(report.find("checkpoints committed"), std::string::npos);

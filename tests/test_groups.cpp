@@ -308,7 +308,7 @@ TEST(GroupHier, HierSchedulesProduceCorrectValues) {
     engine.barrier();
   });
   // The hierarchy's internal groups show up in the per-group stats.
-  const std::string report = armci::render_report(world, armci::ReportOptions{});
+  const std::string report = armci::render_report(world);
   EXPECT_NE(report.find("hier-node"), std::string::npos);
   EXPECT_NE(report.find("hier-leaders"), std::string::npos);
 }

@@ -507,7 +507,7 @@ TEST(Integrity, ReportRendersIntegrityTable) {
     }
     comm.barrier();
   });
-  const std::string report = render_report(world, {});
+  const std::string report = render_report(world);
   EXPECT_NE(report.find("end-to-end integrity"), std::string::npos);
   EXPECT_NE(report.find("transport CRC checks"), std::string::npos);
   EXPECT_NE(report.find("corruptions detected"), std::string::npos);

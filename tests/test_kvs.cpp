@@ -11,7 +11,6 @@
 
 #include "core/comm.hpp"
 #include "core/report.hpp"
-#include "core/report_json.hpp"
 #include "fault/fault.hpp"
 #include "kvs/kvs.hpp"
 #include "util/config.hpp"

@@ -14,7 +14,6 @@
 #include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
-#include "core/report_json.hpp"
 #include "obs/json.hpp"
 #include "obs/link_usage.hpp"
 #include "obs/registry.hpp"

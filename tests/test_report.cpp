@@ -11,7 +11,6 @@
 #include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
-#include "core/report_json.hpp"
 #include "ft/liveness.hpp"
 #include "ft/recovery.hpp"
 #include "kvs/kvs.hpp"
@@ -109,39 +108,36 @@ void expect_golden_reports(const std::string& name, const World& world) {
   expect_golden(name + ".json", render_json_report(world).dump() + "\n");
 }
 
-// Operations of every kind, fences, blocked-in times, size histograms,
-// per-link accounting, and world plus per-group collectives: 16 ranks,
-// 8 per node, with the hardware collectives off, so the two-level
-// schedules run over their node and leader groups.
-void run_traffic(World& world) {
-  world.spmd([](Comm& comm) {
-    auto& mem = comm.malloc_collective(8192);
-    auto* buf = static_cast<std::byte*>(comm.malloc_local(8192));
-    auto* x = static_cast<double*>(comm.malloc_local(64 * sizeof(double)));
-    for (int i = 0; i < 64; ++i) x[i] = comm.rank() + i;
-    const int peer = (comm.rank() + 1) % comm.nprocs();
-    comm.put(buf, mem.at(peer), 4096);
-    comm.get(mem.at(peer), buf, 64);
-    comm.acc(1.0, x, mem.at(peer), 8);
-    comm.put_strided(buf, mem.at(peer), StridedSpec::rect2d(16, 64, 128, 128));
-    comm.fetch_add(mem.at(0).offset(8000), 1);
-    comm.fence(peer);
-    auto& engine = coll::CollEngine::of(comm);
-    engine.allreduce_sum(x, 64);
-    engine.broadcast(buf, 1024, 0);
-    engine.barrier();
-  });
-}
-
 TEST(Report, GoldenTextAndJson) {
   {
+    // Operations of every kind, fences, blocked-in times, size
+    // histograms, per-link accounting, and world plus per-group
+    // collectives: 16 ranks, 8 per node, with the hardware collectives
+    // off, so the two-level schedules run over their node and leader
+    // groups.
     WorldConfig cfg;
     cfg.machine.num_ranks = 16;
     cfg.machine.ranks_per_node = 8;
     cfg.machine.obs.links = true;
     cfg.armci.coll = {{"hw", "0"}};
     World world(cfg);
-    run_traffic(world);
+    world.spmd([](Comm& comm) {
+      auto& mem = comm.malloc_collective(8192);
+      auto* buf = static_cast<std::byte*>(comm.malloc_local(8192));
+      auto* x = static_cast<double*>(comm.malloc_local(64 * sizeof(double)));
+      for (int i = 0; i < 64; ++i) x[i] = comm.rank() + i;
+      const int peer = (comm.rank() + 1) % comm.nprocs();
+      comm.put(buf, mem.at(peer), 4096);
+      comm.get(mem.at(peer), buf, 64);
+      comm.acc(1.0, x, mem.at(peer), 8);
+      comm.put_strided(buf, mem.at(peer), StridedSpec::rect2d(16, 64, 128, 128));
+      comm.fetch_add(mem.at(0).offset(8000), 1);
+      comm.fence(peer);
+      auto& engine = coll::CollEngine::of(comm);
+      engine.allreduce_sum(x, 64);
+      engine.broadcast(buf, 1024, 0);
+      engine.barrier();
+    });
     expect_golden_reports("traffic", world);
   }
   {

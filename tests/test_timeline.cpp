@@ -11,7 +11,6 @@
 #include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
-#include "core/report_json.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/timeline.hpp"
