@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<armci::World> last_world;
   for (int a = 0; a < 2; ++a) {
     armci::WorldConfig cfg =
-        bench::make_world_config(cli, ranks, /*ranks_per_node=*/16);
+        apps::make_world_config(cli, ranks, /*ranks_per_node=*/16);
     // Contention model by default: with LogGP's infinite fabric the
     // reduction barely costs anything and there is nothing to hide.
     cfg.machine.network_model = cli.get_string("net", "contention");
@@ -100,6 +100,6 @@ int main(int argc, char** argv) {
   acc.set_gauge("async.scf_overlap_win_pct", win);
 
   last_world->app_metrics().merge_from(acc);
-  bench::emit_observability(cli, *last_world);
+  apps::emit_observability(cli, *last_world);
   return 0;
 }

@@ -19,7 +19,7 @@ constexpr int kIters = 4;
 
 armci::WorldConfig coll_config(const Config& cli, int ranks, const char* op,
                                const std::string& algo) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, ranks,
+  armci::WorldConfig cfg = apps::make_world_config(cli, ranks,
                                                     /*ranks_per_node=*/1);
   cfg.machine.num_ranks = ranks;
   cfg.armci.coll.emplace_back(std::string("algo.") + op, algo);

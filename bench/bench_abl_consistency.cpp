@@ -18,7 +18,7 @@ struct Outcome {
 };
 
 Outcome run(const Config& cli, armci::ConsistencyMode mode) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/16);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/16);
   cfg.armci.consistency = mode;
   const std::int64_t n = cli.get_int("n", 256);
   const std::int64_t blk = cli.get_int("block", 32);

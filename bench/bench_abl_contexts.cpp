@@ -20,7 +20,7 @@ struct Outcome {
 };
 
 Outcome run(const Config& cli, int contexts) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/64);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/64);
   cfg.armci.progress = armci::ProgressMode::kAsyncThread;
   cfg.armci.contexts_per_rank = contexts;
   const int ops = static_cast<int>(cli.get_int("ops", 64));

@@ -16,7 +16,7 @@ struct Outcome {
 
 Outcome run(const Config& cli, bool cache) {
   armci::WorldConfig cfg =
-      bench::make_world_config(cli, /*ranks=*/512, /*ranks_per_node=*/16);
+      apps::make_world_config(cli, /*ranks=*/512, /*ranks_per_node=*/16);
   cfg.armci.cache_endpoints = cache;
   const int rounds = static_cast<int>(cli.get_int("rounds", 3));
   armci::World world(cfg);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   };
 
   for (const Scenario& sc : scenarios) {
-    armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+    armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
     cfg.machine.dims = topo::Coord5{4, 1, 1, 1, 1};
     cfg.machine.ranks_per_node = 1;
     cfg.machine.num_ranks = 2;

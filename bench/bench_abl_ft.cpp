@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   // non-power-of-two 7-rank clique, so the shrunk software collective
   // schedules are on the measured path.
   auto base_cfg = [&] {
-    armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/8);
+    armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/8);
     cfg.machine.dims = topo::Coord5{2, 2, 2, 1, 1};
     cfg.machine.ranks_per_node = 1;
     cfg.machine.num_ranks = 8;

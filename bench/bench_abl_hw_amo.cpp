@@ -12,7 +12,7 @@ namespace {
 
 double run(const Config& cli, int p, bool hardware) {
   armci::WorldConfig cfg =
-      bench::make_world_config(cli, p, /*ranks_per_node=*/p >= 16 ? 16 : 1);
+      apps::make_world_config(cli, p, /*ranks_per_node=*/p >= 16 ? 16 : 1);
   cfg.machine.num_ranks = p;
   cfg.armci.progress = armci::ProgressMode::kAsyncThread;
   cfg.armci.contexts_per_rank = 2;

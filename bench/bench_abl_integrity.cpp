@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const Scenario& sc = scenarios[s];
-    armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+    armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
     cfg.machine.dims = topo::Coord5{4, 1, 1, 1, 1};
     cfg.machine.ranks_per_node = 1;
     cfg.machine.num_ranks = 2;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     }
     // The JSON report describes the most interesting scenario: the
     // highest corruption rate, where integrity.* metrics are nonzero.
-    if (s + 1 == scenarios.size()) bench::emit_observability(cli, world);
+    if (s + 1 == scenarios.size()) apps::emit_observability(cli, world);
   }
 
   // Pure CRC overhead on a clean fabric: scenario 1 vs scenario 0,

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       kc.zipf_theta = theta;
       kc.get_ratio = gr;
       const std::string mix = theta > 0.0 ? "zipfian" : "uniform";
-      armci::WorldConfig cfg = bench::make_world_config(cli, ranks);
+      armci::WorldConfig cfg = apps::make_world_config(cli, ranks);
       auto world = std::make_unique<armci::World>(cfg);
       const kvs::KvResult r = kvs::run_workload(*world, kc);
       table.row()
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     // into it.
     Time death_at = 0;
     {
-      armci::WorldConfig cfg = bench::make_world_config(cli, fs_ranks);
+      armci::WorldConfig cfg = apps::make_world_config(cli, fs_ranks);
       cfg.machine.num_ranks = fs_ranks;  // --ranks only sizes the sweep
       armci::World world(cfg);
       const kvs::KvResult clean = kvs::run_workload(world, kc);
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
                                               clean.traffic_end -
                                               clean.traffic_begin));
     }
-    armci::WorldConfig cfg = bench::make_world_config(cli, fs_ranks);
+    armci::WorldConfig cfg = apps::make_world_config(cli, fs_ranks);
     cfg.machine.num_ranks = fs_ranks;
     const int dead_node =
         static_cast<int>(cli.get_int("dead_node", fs_ranks / 2 - 1));
@@ -172,6 +172,6 @@ int main(int argc, char** argv) {
   // One report carries the whole sweep: fold the accumulated kvs.*
   // series into the last world's application metrics before emitting.
   last_world->app_metrics().merge_from(acc);
-  bench::emit_observability(cli, *last_world);
+  apps::emit_observability(cli, *last_world);
   return 0;
 }

@@ -10,7 +10,7 @@ using namespace pgasq;
 namespace {
 
 double bandwidth(const Config& cli, const std::string& net, std::size_t m) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   cfg.machine.network_model = net;
   armci::World world(cfg);
   double bw = 0.0;
@@ -36,7 +36,7 @@ double bandwidth(const Config& cli, const std::string& net, std::size_t m) {
 /// All-to-one incast: every rank puts to rank 0 simultaneously; the
 /// contention model must show slowdown, LogGP cannot.
 double incast_ms(const Config& cli, const std::string& net) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/32);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/32);
   cfg.machine.network_model = net;
   armci::World world(cfg);
   Time t0 = 0, t1 = 0;

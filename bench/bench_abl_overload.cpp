@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   {
     kvs::KvConfig kc = base;
     kc.think_us = 0.0;
-    armci::WorldConfig cfg = bench::make_world_config(cli, ranks);
+    armci::WorldConfig cfg = apps::make_world_config(cli, ranks);
     cfg.machine.flow = flow::FlowConfig{};  // calibration is always clean
     armci::World world(cfg);
     const kvs::KvResult r = kvs::run_workload(world, kc);
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
 
   auto run_arm = [&](const kvs::KvConfig& kc, bool on)
       -> std::pair<kvs::KvResult, std::unique_ptr<armci::World>> {
-    armci::WorldConfig cfg = bench::make_world_config(cli, ranks);
+    armci::WorldConfig cfg = apps::make_world_config(cli, ranks);
     cfg.machine.flow = on ? flow_on : flow::FlowConfig{};
     auto world = std::make_unique<armci::World>(cfg);
     kvs::KvResult r = kvs::run_workload(*world, kc);
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
       if (!cli.has("kvs.slots_per_rank")) kc.slots_per_rank = 256;
       if (!cli.has("kvs.requests")) kc.requests = 4096;
       if (!cli.has("kvs.checkpoint_every")) kc.checkpoint_every = kc.requests;
-      armci::WorldConfig cfg = bench::make_world_config(cli, hranks);
+      armci::WorldConfig cfg = apps::make_world_config(cli, hranks);
       cfg.machine.flow = flow::FlowConfig{};
       if (cfg.machine.fault.link_faults.empty()) {
         const int nodes = hranks / cfg.machine.ranks_per_node;
@@ -416,6 +416,6 @@ int main(int argc, char** argv) {
   // One report carries the whole sweep; the last world ran with flow
   // on, so the flow.* controller metrics land in the same document.
   last_world->app_metrics().merge_from(acc);
-  bench::emit_observability(cli, *last_world);
+  apps::emit_observability(cli, *last_world);
   return 0;
 }

@@ -17,7 +17,7 @@ struct Outcome {
 };
 
 Outcome run(const Config& cli, std::size_t capacity) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/64);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/64);
   cfg.armci.region_cache_capacity = capacity;
   // Async progress so region queries are serviced promptly even while
   // targets idle in the final barrier.

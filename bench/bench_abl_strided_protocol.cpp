@@ -12,7 +12,7 @@ namespace {
 
 double run_protocol(const Config& cli, armci::StridedProtocol protocol,
                     std::size_t l0, std::size_t total) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   cfg.armci.strided = protocol;
   armci::World world(cfg);
   double us = 0.0;

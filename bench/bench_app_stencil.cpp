@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     double d_wall = 0.0;
     for (const auto& mode : bench::default_and_async()) {
       armci::WorldConfig cfg =
-          bench::make_world_config(cli, p, /*ranks_per_node=*/p >= 16 ? 16 : 1);
+          apps::make_world_config(cli, p, /*ranks_per_node=*/p >= 16 ? 16 : 1);
       cfg.machine.num_ranks = p;
       cfg.armci.progress = mode.progress;
       cfg.armci.contexts_per_rank = mode.contexts;

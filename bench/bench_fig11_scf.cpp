@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   for (int p = min_ranks; p <= max_ranks; p *= 2) {
     for (const auto& mode : bench::default_and_async()) {
       armci::WorldConfig cfg =
-          bench::make_world_config(cli, p, /*ranks_per_node=*/16);
+          apps::make_world_config(cli, p, /*ranks_per_node=*/16);
       cfg.machine.num_ranks = p;
       cfg.armci.progress = mode.progress;
       cfg.armci.contexts_per_rank = mode.contexts;

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_fig3_latency: contiguous get/put latency (2 procs, adjacent nodes)",
                       "Fig 3 — get 2.89us / put 2.7us @16B, dip at 256B");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const int iters = static_cast<int>(cli.get_int("iters", 5));
 
   Table table({"bytes", "get_us", "put_us"});
@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
     comm.barrier();
   });
   table.print();
-  bench::emit_observability(cli, world);
+  apps::emit_observability(cli, world);
   return 0;
 }

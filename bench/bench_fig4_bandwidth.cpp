@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_fig4_bandwidth: contiguous put/get bandwidth (2 procs)",
                       "Fig 4 — peak 1775 MB/s, get overhead visible <= 8KB");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const int window = static_cast<int>(cli.get_int("window", 32));
 
   Table table({"bytes", "put_MB/s", "get_MB/s"});
@@ -49,6 +49,6 @@ int main(int argc, char** argv) {
     comm.barrier();
   });
   table.print();
-  bench::emit_observability(cli, world);
+  apps::emit_observability(cli, world);
   return 0;
 }

@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_fig5_latency_per_byte: get latency / message byte",
                       "Fig 5 — ~1 ns/B beyond 4KB (aggregation inflection)");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const int iters = static_cast<int>(cli.get_int("iters", 5));
 
   Table table({"bytes", "get_us", "ns_per_byte"});

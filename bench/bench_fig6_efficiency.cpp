@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_fig6_efficiency: bandwidth efficiency vs message size",
                       "Fig 6 — N_1/2 ~2KB, >=90% beyond 16KB");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const int window = static_cast<int>(cli.get_int("window", 32));
   const double peak = cfg.machine.params.peak_bandwidth_bytes_per_s;
 

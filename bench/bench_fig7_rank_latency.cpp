@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   bench::print_banner(
       "bench_fig7_rank_latency: 16B get latency vs target rank (ABCDET mapping)",
       "Fig 7 — oscillatory with torus distance; 2.89..3.38us; ~35ns/hop");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2048,
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2048,
                                                     /*ranks_per_node=*/16);
   const int iters = static_cast<int>(cli.get_int("iters", 3));
   const int stride = static_cast<int>(cli.get_int("rank_stride", 16));

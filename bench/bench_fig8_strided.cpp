@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_fig8_strided: strided put/get bandwidth vs chunk size l0",
                       "Fig 8 — 1MB total; curve tracks Fig 4 as l0 grows");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const std::size_t total = static_cast<std::size_t>(cli.get_int("total", 1 << 20));
 
   Table table({"l0_bytes", "chunks", "protocol", "put_MB/s", "get_MB/s"});

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     int idx = 0;
     for (bool compute : {false, true}) {
       for (const auto& mode : bench::default_and_async()) {
-        armci::WorldConfig cfg = bench::make_world_config(
+        armci::WorldConfig cfg = apps::make_world_config(
             cli, p, /*ranks_per_node=*/p >= 16 ? 16 : 1);
         cfg.machine.num_ranks = p;
         cfg.armci.progress = mode.progress;

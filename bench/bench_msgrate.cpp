@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_msgrate: small-message rate vs in-flight window",
                       "S III-C2 — messaging-rate argument for per-chunk RDMA");
-  armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
+  armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/2);
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 64));
   const int total = static_cast<int>(cli.get_int("messages", 512));
 

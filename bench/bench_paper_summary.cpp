@@ -155,7 +155,7 @@ void run_counter_probe() {
   apps::CounterKernelConfig kcfg;
   kcfg.ops_per_rank = 6;
   kcfg.home_computes = true;
-  armci::WorldConfig d = bench::make_world_config(Config{}, 32, 16);
+  armci::WorldConfig d = apps::make_world_config(Config{}, 32, 16);
   armci::World dw(d);
   const double d_lat = apps::run_counter_kernel(dw, kcfg).avg_latency_us;
   armci::WorldConfig at = d;

@@ -19,7 +19,7 @@ namespace {
 /// heatmap there.
 double run_alltoall(const Config& cli, const std::string& net, int ranks,
                     std::size_t bytes, std::string* heatmap_out = nullptr) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, ranks,
+  armci::WorldConfig cfg = apps::make_world_config(cli, ranks,
                                                     /*ranks_per_node=*/1);
   cfg.machine.num_ranks = ranks;
   cfg.machine.network_model = net;
@@ -52,7 +52,7 @@ double run_alltoall(const Config& cli, const std::string& net, int ranks,
 
 double run_engine_alltoall(const Config& cli, const std::string& net, int ranks,
                            std::size_t bytes, std::string* heatmap_out = nullptr) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, ranks,
+  armci::WorldConfig cfg = apps::make_world_config(cli, ranks,
                                                     /*ranks_per_node=*/1);
   cfg.machine.num_ranks = ranks;
   cfg.machine.network_model = net;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 65536));
   Table table({"c(ppn)", "nodes", "ring_put_MB/s/rank", "fadd_avg_us", "shm_share_%"});
   for (int c : {1, 2, 4, 8, 16}) {
-    armci::WorldConfig cfg = bench::make_world_config(cli, 64, c);
+    armci::WorldConfig cfg = apps::make_world_config(cli, 64, c);
     cfg.machine.ranks_per_node = c;
     armci::World world(cfg);
     Time t0 = 0, t1 = 0;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const double per_rank_bw =
         8.0 * static_cast<double>(bytes) / to_s(t1 - t0) / 1e6;
     // Counter latency under the same layout.
-    armci::WorldConfig kcfg_world = bench::make_world_config(cli, 64, c);
+    armci::WorldConfig kcfg_world = apps::make_world_config(cli, 64, c);
     kcfg_world.machine.ranks_per_node = c;
     armci::World kworld(kcfg_world);
     apps::CounterKernelConfig kcfg;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   for (int c : {1, 2, 4, 8, 16}) {
     double lat[2] = {0.0, 0.0};  // [0] flat recdbl, [1] hier
     for (int mode = 0; mode < 2; ++mode) {
-      armci::WorldConfig cfg = bench::make_world_config(cli, hp, c);
+      armci::WorldConfig cfg = apps::make_world_config(cli, hp, c);
       cfg.machine.ranks_per_node = c;
       cfg.machine.network_model = "contention";
       cfg.armci.coll.emplace_back("algo.allreduce",

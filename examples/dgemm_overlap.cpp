@@ -11,9 +11,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "core/comm.hpp"
 #include "ga/global_array.hpp"
-#include "fault/fault.hpp"
 #include "util/config.hpp"
 
 using namespace pgasq;
@@ -22,13 +22,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   const std::int64_t n = cli.get_int("n", 192);
   const std::int64_t blk = cli.get_int("block", 32);
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 16));
-  cfg.armci.consistency = cli.get_string("consistency", "region") == "target"
-                              ? armci::ConsistencyMode::kPerTarget
-                              : armci::ConsistencyMode::kPerRegion;
-
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
+  const armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/16);
   armci::World world(cfg);
   double checksum = 0.0;
   Time wall = 0;
@@ -101,5 +95,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(forced));
   std::printf("  validation: C[5][9]+C[n-1][3] = %.1f (expected %.1f)\n", checksum,
               5.0 + 9.0 + (n - 1.0) + 3.0);
+  apps::emit_observability(cli, world);
   return checksum == 5.0 + 9.0 + (n - 1.0) + 3.0 ? 0 : 1;
 }

@@ -9,21 +9,19 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "core/comm.hpp"
 #include "core/strided.hpp"
-#include "fault/fault.hpp"
 #include "util/config.hpp"
 
 using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 16));
+  const armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/16);
   const std::int64_t tile = cli.get_int("tile", 64);
   const int steps = static_cast<int>(cli.get_int("steps", 4));
 
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
   armci::World world(cfg);
   Time wall = 0;
   double sample = 0.0;
@@ -101,5 +99,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(tile), steps);
   std::printf("  wall (virtual): %.2f ms; tall-skinny column halo validated: %s\n",
               to_ms(wall), sample == 0.0 ? "OK" : "MISMATCH");
+  apps::emit_observability(cli, world);
   return sample == 0.0 ? 0 : 1;
 }

@@ -11,8 +11,8 @@
 //                         [--kvs.requests=64] [--kvs.checkpoint_every=16]
 #include <cstdio>
 
+#include "apps/cli.hpp"
 #include "core/comm.hpp"
-#include "fault/fault.hpp"
 #include "kvs/kvs.hpp"
 #include "util/config.hpp"
 
@@ -21,12 +21,7 @@ using namespace pgasq;
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   const kvs::KvConfig kc = kvs::KvConfig::from_config(cli);
-
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 32));
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
-  cfg.machine.ft = ft::RuntimeConfig::from_config(cli).liveness;
-  armci::World world(cfg);
+  armci::World world(apps::make_world_config(cli, /*ranks=*/32));
 
   const kvs::KvResult r = kvs::run_workload(world, kc);
 
@@ -52,5 +47,6 @@ int main(int argc, char** argv) {
         r.recoveries, static_cast<unsigned long long>(r.total.replayed_ops),
         static_cast<unsigned long long>(r.lost_acked));
   }
+  apps::emit_observability(cli, world);
   return r.lost_acked == 0 && r.torn_reads == 0 ? 0 : 1;
 }

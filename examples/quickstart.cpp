@@ -9,23 +9,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "core/comm.hpp"
-#include "fault/fault.hpp"
 #include "util/config.hpp"
 
 using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 8));
-  if (cli.get_string("progress", "default") == "async") {
-    cfg.armci.progress = armci::ProgressMode::kAsyncThread;
-    cfg.armci.contexts_per_rank = 2;
-  }
-
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
-  armci::World world(cfg);
+  armci::World world(apps::make_world_config(cli, /*ranks=*/8));
   world.spmd([](armci::Comm& comm) {
     const int me = comm.rank();
     const int p = comm.nprocs();
@@ -78,5 +70,6 @@ int main(int argc, char** argv) {
   });
   std::printf("quickstart finished at %.1f us of virtual time\n",
               to_us(world.elapsed()));
+  apps::emit_observability(cli, world);
   return 0;
 }

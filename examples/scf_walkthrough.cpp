@@ -8,11 +8,9 @@
 
 #include <cstring>
 
+#include "apps/cli.hpp"
 #include "apps/scf.hpp"
 #include "core/comm.hpp"
-#include "core/report.hpp"
-#include "fault/fault.hpp"
-#include "fault/integrity.hpp"
 #include "ft/recovery.hpp"
 #include "util/config.hpp"
 
@@ -22,46 +20,20 @@ namespace {
 
 apps::ScfResult run_mode(const Config& cli, armci::ProgressMode mode,
                          const apps::ScfConfig& scf, bool observe) {
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 64));
-  cfg.machine.ranks_per_node =
-      static_cast<int>(cli.get_int("ranks_per_node", cfg.machine.num_ranks >= 16 ? 16 : 1));
+  const int ranks = static_cast<int>(cli.get_int("ranks", 64));
+  armci::WorldConfig cfg =
+      apps::make_world_config(cli, ranks, /*ranks_per_node=*/ranks >= 16 ? 16 : 1);
   cfg.armci.progress = mode;
   cfg.armci.contexts_per_rank = mode == armci::ProgressMode::kAsyncThread ? 2 : 1;
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
-  // End-to-end integrity knobs (--integrity.verify etc.); the layer
-  // also self-arms whenever --fault.corrupt_prob is set.
-  cfg.machine.integrity = fault::IntegrityConfig::from_config(cli);
-  // Collectives-engine knobs ride through opaquely (same contract as
-  // the benches): e.g. --coll.algo.allreduce=recdbl pins the energy
-  // reduction to a software schedule whose hops show up in traces.
-  for (const std::string& key : cli.keys()) {
-    if (key.rfind("coll.", 0) == 0) {
-      cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
-    }
-    // Async-runtime knobs ride the same way: --async.scf_overlap=1
-    // switches run_scf to the overlapped body (docs/async.md).
-    if (key.rfind("async.", 0) == 0) {
-      cfg.armci.async.emplace_back(key.substr(6), cli.get_string(key, ""));
-    }
-  }
-  // Fail-stop knobs: with --fault.node_fail=node:at_us scheduled, the
-  // run checkpoints and survives the death (docs/faults.md).
-  cfg.machine.ft = ft::RuntimeConfig::from_config(cli).liveness;
   // --trace.json_path / --obs.* / --report.json_path apply to the AT
   // run only (`observe`), so one invocation yields one trace.
-  if (observe) pami::configure_observability(cli, cfg.machine);
+  if (!observe) {
+    cfg.machine.trace_json_path.clear();
+    cfg.machine.obs = obs::Options{};
+  }
   armci::World world(cfg);
   apps::ScfResult result = apps::run_scf(world, scf);
-  if (observe) {
-    const std::string report = armci::json_report_path_from_config(cli);
-    if (!report.empty()) armci::write_json_report(world, report);
-    if (const obs::LinkUsage* lu = world.machine().link_usage()) {
-      if (!cfg.machine.obs.link_csv.empty()) {
-        lu->write_csv(cfg.machine.obs.link_csv);
-      }
-    }
-  }
+  if (observe) apps::emit_observability(cli, world);
   return result;
 }
 

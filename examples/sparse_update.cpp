@@ -9,11 +9,10 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "core/report.hpp"
 #include "ga/collectives.hpp"
 #include "ga/global_array.hpp"
-#include "fault/fault.hpp"
-#include "flow/flow.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
 
@@ -21,24 +20,13 @@ using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 16));
+  // --flow.* arms overload control; the report then grows an
+  // "overload control (flow)" table (docs/overload.md).
+  const armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/16);
   const std::int64_t n = cli.get_int("n", 128);
   const int updates = static_cast<int>(cli.get_int("updates", 200));
   const int batch = static_cast<int>(cli.get_int("batch", 24));
 
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
-  // --flow.* arms overload control (credit backpressure, deadlines);
-  // the report then grows an "overload control (flow)" table
-  // (docs/overload.md).
-  cfg.machine.flow = flow::FlowConfig::from_config(cli);
-  // --coll.* keys reach the collectives engine with the prefix
-  // stripped, e.g. --coll.algo.allreduce=torus-ring (docs/collectives.md).
-  for (const std::string& key : cli.keys()) {
-    if (key.rfind("coll.", 0) == 0) {
-      cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
-    }
-  }
   armci::World world(cfg);
   double total = 0.0;
   double expected = 0.0;
@@ -86,5 +74,6 @@ int main(int argc, char** argv) {
   std::printf("  mass conservation: scattered %.0f, array holds %.0f — %s\n\n",
               expected, total, expected == total ? "OK" : "MISMATCH");
   std::fputs(armci::render_report(world).c_str(), stdout);
+  apps::emit_observability(cli, world);
   return expected == total ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "core/comm.hpp"
-#include "fault/fault.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
 
@@ -31,18 +31,12 @@ struct PoolLayout {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
-  armci::WorldConfig cfg;
-  cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 32));
-  if (cli.get_string("progress", "default") == "async") {
-    cfg.armci.progress = armci::ProgressMode::kAsyncThread;
-    cfg.armci.contexts_per_rank = 2;
-  }
+  const armci::WorldConfig cfg = apps::make_world_config(cli, /*ranks=*/32);
   const std::int64_t tasks_per_rank = cli.get_int("tasks", 24);
   const bool steal = cli.get_bool("steal", true);
   // Skew: the first quarter of ranks hold 4x the work of the rest.
   const std::int64_t capacity = 4 * tasks_per_rank;
 
-  cfg.machine.fault = fault::FaultPlan::from_config(cli);
   armci::World world(cfg);
   Time wall = 0;
   std::int64_t executed_total = 0;
@@ -114,5 +108,6 @@ int main(int argc, char** argv) {
               100.0 * static_cast<double>(stolen_total) /
                   static_cast<double>(executed_total));
   std::printf("  wall (virtual): %.2f ms\n", to_ms(wall));
+  apps::emit_observability(cli, world);
   return executed_total == expected ? 0 : 1;
 }

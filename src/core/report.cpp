@@ -496,9 +496,4 @@ void write_json_report(const World& world, const std::string& path) {
   PGASQ_CHECK(out.good(), << "short write to report JSON path " << path);
 }
 
-std::string json_report_path_from_config(const Config& cfg) {
-  cfg.reject_unknown("report", {"json_path"});
-  return cfg.get_string("report.json_path", "");
-}
-
 }  // namespace pgasq::armci

@@ -12,7 +12,6 @@
 
 #include "core/world.hpp"
 #include "obs/json.hpp"
-#include "util/config.hpp"
 
 namespace pgasq::armci {
 
@@ -30,9 +29,5 @@ obs::Json render_json_report(const World& world);
 
 /// Writes render_json_report to `path`; throws on I/O failure.
 void write_json_report(const World& world, const std::string& path);
-
-/// Parses the report.* namespace (report.json_path), rejecting unknown
-/// report.* keys with a typo suggestion. Empty = no JSON report.
-std::string json_report_path_from_config(const Config& cfg);
 
 }  // namespace pgasq::armci

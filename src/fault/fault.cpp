@@ -94,11 +94,6 @@ LinkFaultSpec parse_link_spec(const std::string& spec, bool with_capacity,
 }  // namespace
 
 FaultPlan FaultPlan::from_config(const Config& cfg) {
-  cfg.reject_unknown("fault",
-                     {"seed", "drop_prob", "corrupt_prob", "corrupt_bits",
-                      "corrupt_window", "link_fail", "link_degrade", "stall",
-                      "node_fail", "ack_timeout_us", "backoff_factor",
-                      "max_backoff_us", "retry_budget", "backoff_jitter"});
   FaultPlan plan;
   plan.seed = static_cast<std::uint64_t>(cfg.get_int("fault.seed", 1));
   plan.drop_prob = cfg.get_double("fault.drop_prob", 0.0);

@@ -186,8 +186,6 @@ struct FaultPlan {
   ///   fault.ack_timeout_us, fault.backoff_factor, fault.max_backoff_us,
   ///   fault.retry_budget, fault.backoff_jitter
   /// where dir is '+', '-' or '*' (both directions of the cable).
-  /// Misspelled fault.* keys are rejected with a typo suggestion
-  /// (Config::reject_unknown).
   static FaultPlan from_config(const Config& cfg);
 };
 

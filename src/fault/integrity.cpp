@@ -6,8 +6,6 @@
 namespace pgasq::fault {
 
 IntegrityConfig IntegrityConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("integrity", {"verify", "coll_check", "ckpt_digest",
-                                   "crc_setup_ns", "crc_ns_per_byte"});
   IntegrityConfig out;
   for (const auto& key : cfg.keys()) {
     if (key.rfind("integrity.", 0) == 0) {

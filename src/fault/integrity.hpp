@@ -59,8 +59,7 @@ struct IntegrityConfig {
   double crc_setup_ns = 20.0;
   double crc_ns_per_byte = 0.005;
 
-  /// Parses integrity.* keys; misspelled keys are rejected with a typo
-  /// suggestion (Config::reject_unknown).
+  /// Parses integrity.* keys.
   static IntegrityConfig from_config(const Config& cfg);
 };
 

@@ -17,19 +17,10 @@ std::uint64_t splitmix64_of(std::uint64_t v) {
 }  // namespace
 
 FlowConfig FlowConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("flow",
-                     {"credits", "deadline_us", "admit", "init_limit",
-                      "max_limit", "aimd_inc", "aimd_dec", "low_prio_frac",
-                      "retry_budget", "retry_backoff_us",
-                      "retry_max_backoff_us", "seed"});
   FlowConfig out;
-  out.configured =
-      cfg.has("flow.credits") || cfg.has("flow.deadline_us") ||
-      cfg.has("flow.admit") || cfg.has("flow.init_limit") ||
-      cfg.has("flow.max_limit") || cfg.has("flow.aimd_inc") ||
-      cfg.has("flow.aimd_dec") || cfg.has("flow.low_prio_frac") ||
-      cfg.has("flow.retry_budget") || cfg.has("flow.retry_backoff_us") ||
-      cfg.has("flow.retry_max_backoff_us") || cfg.has("flow.seed");
+  for (const auto& key : cfg.keys()) {
+    if (key.rfind("flow.", 0) == 0) out.configured = true;
+  }
   out.credits = static_cast<int>(cfg.get_int("flow.credits", 0));
   out.deadline_us = cfg.get_double("flow.deadline_us", 0.0);
   out.admit = cfg.get_bool("flow.admit", false);

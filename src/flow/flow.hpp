@@ -119,8 +119,7 @@ struct FlowConfig {
 
   Time deadline() const { return deadline_us > 0.0 ? from_us(deadline_us) : 0; }
 
-  /// Parse `flow.*` keys; unknown keys are rejected with a typo
-  /// suggestion (reject_unknown).
+  /// Parse `flow.*` keys.
   static FlowConfig from_config(const Config& config);
 };
 

@@ -11,8 +11,6 @@
 namespace pgasq::ft {
 
 RuntimeConfig RuntimeConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("ft", {"checkpoint_interval", "suspect_acks",
-                            "heartbeat_period_us", "heartbeat_timeout_us"});
   RuntimeConfig c;
   c.checkpoint_interval =
       static_cast<int>(cfg.get_int("ft.checkpoint_interval", 1));

@@ -105,8 +105,7 @@ struct RuntimeConfig {
   LivenessConfig liveness{};
 
   /// Parses ft.checkpoint_interval / ft.suspect_acks /
-  /// ft.heartbeat_period_us / ft.heartbeat_timeout_us, rejecting
-  /// unknown ft.* keys with a typo suggestion.
+  /// ft.heartbeat_period_us / ft.heartbeat_timeout_us.
   static RuntimeConfig from_config(const Config& cfg);
 };
 

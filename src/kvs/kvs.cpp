@@ -64,12 +64,6 @@ double zeta(std::uint64_t n, double theta) {
 // ---------------------------------------------------------------------------
 
 KvConfig KvConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("kvs", {"keys", "zipf_theta", "get_ratio", "faa_ratio",
-                             "requests", "think_us", "value_bytes",
-                             "slots_per_rank", "checkpoint_every", "seed",
-                             "conflict_free", "verify", "prefill",
-                             "arrival_rate", "hedge_us", "hedge_cancel",
-                             "slo_us", "stall_at_us", "stall_us"});
   KvConfig c;
   c.keys = cfg.get_int("kvs.keys", c.keys);
   c.zipf_theta = cfg.get_double("kvs.zipf_theta", c.zipf_theta);

@@ -115,8 +115,7 @@ struct KvConfig {
   double stall_at_us = 0.0;
   double stall_us = 0.0;
 
-  /// Parses the kvs.* namespace, rejecting unknown keys with a typo
-  /// suggestion (matching the fault./ft./integrity. precedent).
+  /// Parses the kvs.* namespace.
   static KvConfig from_config(const Config& cfg);
 };
 

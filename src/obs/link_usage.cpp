@@ -11,19 +11,11 @@
 namespace pgasq::obs {
 
 Options Options::from_config(const Config& cfg, Options defaults) {
-  cfg.reject_unknown("obs", {"links", "link_bucket_us", "link_top",
-                             "link_csv", "timeline", "timeline_bucket_us",
-                             "timeline_max_series", "timeline_top",
-                             "timeline_csv", "critpath", "critpath_top"});
-  // Every timeline knob lives under obs.*; a bare timeline.* key is
-  // always a misremembered namespace, never silently ignored.
-  cfg.reject_unknown("timeline", {});
   Options opt = defaults;
   opt.links = cfg.get_bool("obs.links", opt.links);
   opt.link_bucket = from_us(cfg.get_double("obs.link_bucket_us",
                                            to_us(opt.link_bucket)));
   opt.link_top = static_cast<int>(cfg.get_int("obs.link_top", opt.link_top));
-  opt.link_csv = cfg.get_string("obs.link_csv", opt.link_csv);
   opt.timeline = cfg.get_bool("obs.timeline", opt.timeline);
   opt.timeline_bucket = from_us(
       cfg.get_double("obs.timeline_bucket_us", to_us(opt.timeline_bucket)));
@@ -31,7 +23,6 @@ Options Options::from_config(const Config& cfg, Options defaults) {
       cfg.get_int("obs.timeline_max_series", opt.timeline_max_series));
   opt.timeline_top =
       static_cast<int>(cfg.get_int("obs.timeline_top", opt.timeline_top));
-  opt.timeline_csv = cfg.get_string("obs.timeline_csv", opt.timeline_csv);
   opt.critpath = cfg.get_bool("obs.critpath", opt.critpath);
   opt.critpath_top =
       static_cast<int>(cfg.get_int("obs.critpath_top", opt.critpath_top));

@@ -28,9 +28,6 @@ struct Options {
   Time link_bucket = from_us(50);
   /// Heatmap rows: hottest N links (obs.link_top).
   int link_top = 16;
-  /// When non-empty, per-link buckets are exported as CSV at report
-  /// time (obs.link_csv).
-  std::string link_csv;
 
   /// Enable continuous time-series telemetry (obs.timeline); see
   /// obs/timeline.hpp. Off by default: runs stay byte-identical.
@@ -41,9 +38,6 @@ struct Options {
   int timeline_max_series = 256;
   /// Sparkline rows in the text report (obs.timeline_top).
   int timeline_top = 12;
-  /// When non-empty, timeline buckets are exported as CSV at report
-  /// time (obs.timeline_csv).
-  std::string timeline_csv;
 
   /// Enable critical-path latency attribution (obs.critpath); see
   /// obs/critpath.hpp.
@@ -51,8 +45,9 @@ struct Options {
   /// Rows per critical-path bottleneck table (obs.critpath_top).
   int critpath_top = 8;
 
-  /// Parses the obs.* namespace from `cfg` over `defaults`; rejects
-  /// unknown obs.* keys with a typo suggestion.
+  /// Parses the obs.* namespace from `cfg` over `defaults` (the CSV
+  /// export paths obs.link_csv / obs.timeline_csv are read by
+  /// apps::emit_observability, which writes them).
   static Options from_config(const Config& cfg, Options defaults);
   static Options from_config(const Config& cfg);
 };

@@ -123,8 +123,6 @@ bool Machine::rank_traced(RankId rank) const {
 }
 
 void configure_observability(const Config& cfg, MachineConfig& config) {
-  cfg.reject_unknown("trace",
-                     {"json_path", "max_events", "sample_ranks", "aggregate"});
   config.trace_json_path = cfg.get_string("trace.json_path", config.trace_json_path);
   const std::int64_t cap = cfg.get_int(
       "trace.max_events", static_cast<std::int64_t>(config.trace_max_events));

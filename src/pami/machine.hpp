@@ -77,12 +77,11 @@ struct MachineConfig {
   flow::FlowConfig flow{};
 };
 
-/// Applies the trace.* and obs.* config namespaces onto `config`
-/// (rejecting unknown keys): trace.json_path, trace.max_events,
-/// trace.sample_ranks, trace.aggregate, obs.links, obs.link_bucket_us,
-/// obs.link_top, obs.link_csv, obs.timeline, obs.timeline_bucket_us,
-/// obs.timeline_max_series, obs.timeline_top, obs.timeline_csv,
-/// obs.critpath, obs.critpath_top.
+/// Applies the trace.* and obs.* config namespaces onto `config`:
+/// trace.json_path, trace.max_events, trace.sample_ranks,
+/// trace.aggregate, obs.links, obs.link_bucket_us, obs.link_top,
+/// obs.timeline, obs.timeline_bucket_us, obs.timeline_max_series,
+/// obs.timeline_top, obs.critpath, obs.critpath_top.
 void configure_observability(const Config& cfg, MachineConfig& config);
 
 /// Pre-registered timeline series for the pami layer's hot paths (one

@@ -1,52 +1,69 @@
 #include "util/config.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace pgasq {
 
+Config::Config(Config&& other) noexcept
+    : values_(std::move(other.values_)),
+      asked_(std::move(other.asked_)),
+      check_unread_(std::exchange(other.check_unread_, false)) {}
+
+Config::~Config() {
+  if (!check_unread_ || std::uncaught_exceptions() > 0) return;
+  const std::vector<std::string> unknown = unknown_options();
+  if (unknown.empty()) return;
+  for (const std::string& line : unknown) std::fprintf(stderr, "%s\n", line.c_str());
+  std::exit(2);
+}
+
 Config Config::from_args(int argc, char** argv) {
   Config cfg;
   for (int i = 1; i < argc; ++i) {
-    std::string tok = argv[i];
-    std::string body = tok;
-    if (body.rfind("--", 0) == 0) body = body.substr(2);
+    const std::string tok = argv[i];
+    const bool dashed = tok.rfind("--", 0) == 0;
+    const std::string body = dashed ? tok.substr(2) : tok;
     const auto eq = body.find('=');
-    if (eq == std::string::npos) {
-      if (tok.rfind("--", 0) == 0) {
-        // Bare flag: treat as boolean true.
-        cfg.set(body, "true");
-      } else {
-        cfg.positional_.push_back(tok);
-      }
-      continue;
+    if (eq != std::string::npos) {
+      cfg.set(body.substr(0, eq), body.substr(eq + 1));
+    } else {
+      PGASQ_CHECK(dashed, << "argument '" << tok
+                          << "' is neither key=value nor --flag");
+      cfg.set(body, "true");  // bare flag: boolean true
     }
-    cfg.set(body.substr(0, eq), body.substr(eq + 1));
   }
+  cfg.check_unread_ = true;
   return cfg;
 }
 
 void Config::set(const std::string& key, const std::string& value) {
   PGASQ_CHECK(!key.empty());
-  values_[key] = value;
+  values_[key] = Value{value};
 }
 
-bool Config::has(const std::string& key) const { return values_.count(key) != 0; }
+bool Config::has(const std::string& key) const { return find(key) != nullptr; }
 
-std::optional<std::string> Config::find(const std::string& key) const {
+const std::string* Config::find(const std::string& key) const {
+  asked_.insert(key);
   const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
+  if (it == values_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second.text;
 }
 
 std::string Config::get_string(const std::string& key, const std::string& fallback) const {
-  return find(key).value_or(fallback);
+  const std::string* v = find(key);
+  return v ? *v : fallback;
 }
 
 std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto v = find(key);
+  const std::string* v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
   const long long parsed = std::strtoll(v->c_str(), &end, 0);
@@ -55,7 +72,7 @@ std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) cons
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
-  const auto v = find(key);
+  const std::string* v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
@@ -64,7 +81,7 @@ double Config::get_double(const std::string& key, double fallback) const {
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto v = find(key);
+  const std::string* v = find(key);
   if (!v) return fallback;
   if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
   if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
@@ -91,36 +108,25 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-void Config::reject_unknown(const std::string& ns,
-                            const std::vector<std::string>& known) const {
-  const std::string prefix = ns + ".";
-  for (const auto& [key, _] : values_) {
-    if (key.rfind(prefix, 0) != 0) continue;
-    const std::string suffix = key.substr(prefix.size());
-    bool ok = false;
-    for (const auto& k : known) {
-      if (k == suffix) {
-        ok = true;
-        break;
-      }
-    }
-    if (ok) continue;
-    // Closest known suffix, for the typo hint.
-    std::size_t best_dist = static_cast<std::size_t>(-1);
-    std::string best;
-    for (const auto& k : known) {
-      const std::size_t d = edit_distance(suffix, k);
+std::vector<std::string> Config::unknown_options() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (value.read) continue;
+    // Closest asked-for name, for the typo hint.
+    std::size_t best_dist = 3;
+    const std::string* best = nullptr;
+    for (const std::string& name : asked_) {
+      const std::size_t d = edit_distance(key, name);
       if (d < best_dist) {
         best_dist = d;
-        best = k;
+        best = &name;
       }
     }
-    if (!best.empty() && best_dist <= 2) {
-      PGASQ_CHECK(false, << "unknown option " << key << " (did you mean " << ns
-                         << "." << best << "?)");
-    }
-    PGASQ_CHECK(false, << "unknown option " << key);
+    std::string line = "unknown option " + key;
+    if (best != nullptr) line += " (did you mean " + *best + "?)";
+    out.push_back(std::move(line));
   }
+  return out;
 }
 
 std::vector<std::string> Config::keys() const {

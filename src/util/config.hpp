@@ -1,11 +1,15 @@
 // Small key=value configuration store with typed getters, used by the
 // benchmark binaries to accept "--key=value" overrides without pulling
 // in a CLI library.
+//
+// A key is valid exactly when the program reads it: every getter marks
+// the key it asked for as read, and a Config made by from_args checks
+// at destruction (the end of main) that no stored key went unread.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,9 +18,17 @@ namespace pgasq {
 class Config {
  public:
   Config() = default;
+  /// Move-only: a copy would record reads the original never sees.
+  Config(Config&& other) noexcept;
+  Config(const Config&) = delete;
+  Config& operator=(const Config&) = delete;
+  /// From from_args only: prints unknown_options() to stderr and exits
+  /// with status 2 if any are left. Skipped while an exception is
+  /// propagating; never throws.
+  ~Config();
 
-  /// Parses "--key=value" / "key=value" tokens; other tokens are kept
-  /// in positional(). Throws Error on malformed "--key" without value.
+  /// Parses "--key=value" / "key=value" tokens and bare "--flag"s
+  /// (boolean true). Throws Error on any other token.
   static Config from_args(int argc, char** argv);
 
   void set(const std::string& key, const std::string& value);
@@ -27,23 +39,24 @@ class Config {
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-  /// All keys, for diagnostics.
+  /// All keys, for diagnostics (listing does not count as reading).
   std::vector<std::string> keys() const;
 
-  /// Validates a reserved key namespace: every stored key of the form
-  /// "<ns>.<suffix>" must have its suffix in `known`, otherwise throws
-  /// Error naming the bad key — with a "did you mean" suggestion when a
-  /// known suffix is within edit distance 2 (a misspelled knob used to
-  /// be silently ignored). Subsystem parsers (fault.*, ft.*, coll.*)
-  /// call this before reading their keys.
-  void reject_unknown(const std::string& ns,
-                      const std::vector<std::string>& known) const;
+  /// "unknown option <key>" per stored key no getter read, plus
+  /// "(did you mean <name>?)" for an asked-for name within edit
+  /// distance 2.
+  std::vector<std::string> unknown_options() const;
 
  private:
-  std::optional<std::string> find(const std::string& key) const;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
+  struct Value {
+    std::string text;
+    mutable bool read = false;
+  };
+  const std::string* find(const std::string& key) const;
+  std::map<std::string, Value> values_;
+  /// Every name a getter asked for, stored or not: the typo hints.
+  mutable std::set<std::string> asked_;
+  bool check_unread_ = false;
 };
 
 }  // namespace pgasq

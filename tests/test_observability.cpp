@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cli.hpp"
 #include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
@@ -322,28 +323,31 @@ TEST(Observability, RankSamplingMutesUnsampledTracksAndPrunesFlows) {
 
 TEST(Observability, ConfigNamespacesRejectTypos) {
   pami::MachineConfig mc;
-  EXPECT_THROW(pami::configure_observability(
-                   cfg_of({{"trace.json_pth", "/tmp/x.json"}}), mc),
-               Error);
-  EXPECT_THROW(pami::configure_observability(cfg_of({{"obs.lnks", "1"}}), mc),
-               Error);
-  EXPECT_THROW(armci::json_report_path_from_config(
-                   cfg_of({{"report.jsonpath", "/tmp/x.json"}})),
-               Error);
-  pami::configure_observability(cfg_of({{"trace.json_path", "/tmp/x.json"},
-                                        {"trace.max_events", "64"},
-                                        {"trace.sample_ranks", "2"},
-                                        {"obs.links", "1"},
-                                        {"obs.link_bucket_us", "10"}}),
-                                mc);
+  using Lines = std::vector<std::string>;
+  const Config typos = cfg_of({{"trace.json_pth", "/tmp/x.json"},
+                               {"obs.lnks", "1"},
+                               {"report.jsonpath", "/tmp/x.json"}});
+  pami::configure_observability(typos, mc);
+  const armci::World world(armci::WorldConfig{});
+  apps::emit_observability(typos, world);
+  EXPECT_EQ(typos.unknown_options(),
+            (Lines{"unknown option obs.lnks (did you mean obs.links?)",
+                   "unknown option report.jsonpath "
+                   "(did you mean report.json_path?)",
+                   "unknown option trace.json_pth "
+                   "(did you mean trace.json_path?)"}));
+  const Config ok = cfg_of({{"trace.json_path", "/tmp/x.json"},
+                            {"trace.max_events", "64"},
+                            {"trace.sample_ranks", "2"},
+                            {"obs.links", "1"},
+                            {"obs.link_bucket_us", "10"}});
+  pami::configure_observability(ok, mc);
+  EXPECT_TRUE(ok.unknown_options().empty());
   EXPECT_EQ(mc.trace_json_path, "/tmp/x.json");
   EXPECT_EQ(mc.trace_max_events, 64u);
   EXPECT_EQ(mc.trace_sample_ranks, 2);
   EXPECT_TRUE(mc.obs.links);
   EXPECT_EQ(mc.obs.link_bucket, from_us(10));
-  EXPECT_EQ(armci::json_report_path_from_config(
-                cfg_of({{"report.json_path", "/tmp/r.json"}})),
-            "/tmp/r.json");
 }
 
 }  // namespace

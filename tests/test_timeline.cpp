@@ -183,35 +183,41 @@ TEST(Timeline, SeriesCapTruncatesWithWarn) {
 
 TEST(Timeline, ConfigTyposRejected) {
   pami::MachineConfig mc;
-  EXPECT_THROW(
-      pami::configure_observability(cfg_of({{"obs.timelin", "1"}}), mc),
-      Error);
-  EXPECT_THROW(pami::configure_observability(
-                   cfg_of({{"obs.timeline_bucket_uss", "10"}}), mc),
-               Error);
-  EXPECT_THROW(
-      pami::configure_observability(cfg_of({{"timeline.bucket_us", "10"}}),
-                                    mc),
-      Error);
-  EXPECT_THROW(
-      pami::configure_observability(cfg_of({{"obs.critpath_topk", "4"}}), mc),
-      Error);
-  pami::configure_observability(
-      cfg_of({{"obs.timeline", "1"},
-              {"obs.timeline_bucket_us", "25"},
-              {"obs.timeline_max_series", "64"},
-              {"obs.timeline_top", "4"},
-              {"obs.timeline_csv", "/tmp/tl.csv"},
-              {"obs.critpath", "1"},
-              {"obs.critpath_top", "3"}}),
-      mc);
+  // The keys configure_observability leaves unread, with their hints.
+  auto unknown = [&mc](const std::string& key) {
+    const Config cfg = cfg_of({{key, "1"}});
+    pami::configure_observability(cfg, mc);
+    return cfg.unknown_options();
+  };
+  using Lines = std::vector<std::string>;
+  EXPECT_EQ(unknown("obs.timelin"),
+            Lines{"unknown option obs.timelin (did you mean obs.timeline?)"});
+  EXPECT_EQ(unknown("obs.timeline_bucket_uss"),
+            Lines{"unknown option obs.timeline_bucket_uss "
+                  "(did you mean obs.timeline_bucket_us?)"});
+  // Every timeline knob lives under obs.*: nothing reads timeline.*.
+  EXPECT_EQ(unknown("timeline.bucket_us"),
+            Lines{"unknown option timeline.bucket_us"});
+  EXPECT_EQ(unknown("obs.critpath_topk"),
+            Lines{"unknown option obs.critpath_topk "
+                  "(did you mean obs.critpath_top?)"});
+  const Config cfg = cfg_of({{"obs.timeline", "1"},
+                             {"obs.timeline_bucket_us", "25"},
+                             {"obs.timeline_max_series", "64"},
+                             {"obs.timeline_top", "4"},
+                             {"obs.timeline_csv", "/tmp/tl.csv"},
+                             {"obs.critpath", "1"},
+                             {"obs.critpath_top", "3"}});
+  pami::configure_observability(cfg, mc);
   EXPECT_TRUE(mc.obs.timeline);
   EXPECT_EQ(mc.obs.timeline_bucket, from_us(25));
   EXPECT_EQ(mc.obs.timeline_max_series, 64);
   EXPECT_EQ(mc.obs.timeline_top, 4);
-  EXPECT_EQ(mc.obs.timeline_csv, "/tmp/tl.csv");
   EXPECT_TRUE(mc.obs.critpath);
   EXPECT_EQ(mc.obs.critpath_top, 3);
+  // The CSV path is read where the file is written,
+  // apps::emit_observability, so only a program that writes it accepts it.
+  EXPECT_EQ(cfg.unknown_options(), Lines{"unknown option obs.timeline_csv"});
 }
 
 }  // namespace

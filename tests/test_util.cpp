@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <vector>
 
+#include "apps/cli.hpp"
 #include "util/config.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -118,14 +122,51 @@ TEST(FormatBytes, HumanUnits) {
 }
 
 TEST(Config, ParsesKeyValueAndFlags) {
-  const char* argv[] = {"prog", "--ranks=64", "net=loggp", "--verbose", "positional"};
-  Config c = Config::from_args(5, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--ranks=64", "net=loggp", "--verbose"};
+  Config c = Config::from_args(4, const_cast<char**>(argv));
   EXPECT_EQ(c.get_int("ranks", 0), 64);
   EXPECT_EQ(c.get_string("net", ""), "loggp");
   EXPECT_TRUE(c.get_bool("verbose", false));
-  ASSERT_EQ(c.positional().size(), 1u);
-  EXPECT_EQ(c.positional()[0], "positional");
   EXPECT_EQ(c.get_int("absent", -7), -7);
+  // A token that is neither key=value nor --flag is an error, not a
+  // silently dropped positional ("ranks 64" would run the default).
+  const char* stray[] = {"prog", "ranks", "64"};
+  EXPECT_THROW(Config::from_args(3, const_cast<char**>(stray)), Error);
+}
+
+// The unread-key check runs when a from_args Config is destroyed. Each
+// statement parses its arguments the way a program does: through
+// apps::make_world_config, then the end of "main".
+void run_main(std::vector<const char*> args, bool throw_midway = false) {
+  args.insert(args.begin(), "prog");
+  try {
+    const Config cli = Config::from_args(static_cast<int>(args.size()),
+                                         const_cast<char**>(args.data()));
+    apps::make_world_config(cli, /*default_ranks=*/2);
+    if (throw_midway) throw Error("failed mid-run");
+  } catch (const Error&) {
+  }
+  std::exit(0);
+}
+
+TEST(ConfigDeathTest, UnreadKeyExitsWithHint) {
+  EXPECT_EXIT(run_main({"--progres=async"}), ::testing::ExitedWithCode(2),
+              "unknown option progres \\(did you mean progress\\?\\)");
+}
+
+TEST(ConfigDeathTest, NoProgramReadsTimelineNamespace) {
+  EXPECT_EXIT(run_main({"timeline.bucket_us=5"}), ::testing::ExitedWithCode(2),
+              "unknown option timeline.bucket_us");
+}
+
+TEST(ConfigDeathTest, FullyReadConfigExitsCleanly) {
+  EXPECT_EXIT(run_main({"progress=async", "--fault.seed=3", "--coll.hw=0"}),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ConfigDeathTest, ExceptionInFlightSkipsCheck) {
+  EXPECT_EXIT(run_main({"--progres=async"}, /*throw_midway=*/true),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Config, TypeErrors) {

@@ -252,8 +252,38 @@ PY
     "${out}/BENCH_async_a.json" "${out}/BENCH_async_b.json"
 }
 
+knob_gate() {
+  # Knob gate: a key is valid exactly when the program reads it, so a
+  # misspelled knob must fail the run (non-zero exit, typo hint on
+  # stderr) instead of silently running the defaults; and every
+  # example must accept the shared machine knobs.
+  local dir="$1" err="${repo}/$1/knob-gate.stderr"
+  echo "=== knob gate: ${dir}" >&2
+  expect_rejected() {
+    local hint="$1"; shift
+    if "$@" >/dev/null 2>"${err}"; then
+      echo "knob gate: '$*' accepted a misspelled key" >&2; exit 1
+    fi
+    grep -qF "${hint}" "${err}" || {
+      echo "knob gate: '$*' stderr lacks '${hint}':" >&2
+      cat "${err}" >&2; exit 1; }
+  }
+  expect_rejected "unknown option progres (did you mean progress?)" \
+    "${repo}/${dir}/examples/quickstart" --progres=async
+  expect_rejected "unknown option fault.drop_prb (did you mean fault.drop_prob?)" \
+    "${repo}/${dir}/bench/bench_fig3_latency" --fault.drop_prb=0.1
+  local ex
+  for ex in quickstart dgemm_overlap scf_walkthrough halo_exchange \
+            work_stealing sparse_update kv_service; do
+    "${repo}/${dir}/examples/${ex}" --integrity.verify=1 --fault.seed=1 \
+      >/dev/null
+  done
+  echo "knob gate OK: typos rejected with hints, examples take shared knobs" >&2
+}
+
 pass build-check
 perfbench_pass
+knob_gate build-check
 obs_gate build-check
 async_gate build-check
 kvs_gate build-check
