@@ -7,22 +7,19 @@
 namespace pgasq::armci {
 
 EndpointCache::EndpointCache(int num_ranks, int contexts_per_rank)
-    : contexts_per_rank_(contexts_per_rank),
-      created_(static_cast<std::size_t>(num_ranks) *
-                   static_cast<std::size_t>(contexts_per_rank),
-               0) {
+    : num_ranks_(num_ranks), contexts_per_rank_(contexts_per_rank) {
   PGASQ_CHECK(num_ranks >= 1 && contexts_per_rank >= 1);
 }
 
 bool EndpointCache::lookup_or_mark(RankId rank, int context) {
-  const auto idx = static_cast<std::size_t>(rank) *
-                       static_cast<std::size_t>(contexts_per_rank_) +
-                   static_cast<std::size_t>(context);
-  PGASQ_CHECK(idx < created_.size(), << "endpoint (" << rank << "," << context << ")");
-  if (created_[idx]) return true;
-  created_[idx] = 1;
-  ++created_count_;
-  return false;
+  PGASQ_CHECK(rank >= 0 && rank < num_ranks_ && context >= 0 &&
+                  context < contexts_per_rank_,
+              << "endpoint (" << rank << "," << context << ") outside " << num_ranks_
+              << " ranks x " << contexts_per_rank_ << " contexts");
+  const auto key = static_cast<std::uint64_t>(rank) *
+                       static_cast<std::uint64_t>(contexts_per_rank_) +
+                   static_cast<std::uint64_t>(context);
+  return !created_.insert(key).second;
 }
 
 RegionCache::RegionCache(std::size_t capacity, CacheReplacement policy)

@@ -3,6 +3,8 @@
 // Endpoints: creation is local and cheap (beta = 0.3 us, alpha = 4 B),
 // so ARMCI creates one per clique member on first communication and
 // caches it for the application lifetime (M_e = zeta * alpha * rho).
+// The cache holds only the (rank, context) pairs touched, so its host
+// memory follows zeta, not the clique size p.
 //
 // Remote memory regions: region metadata for the whole clique would
 // cost sigma * zeta * gamma bytes, prohibitive under strong scaling on
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/types.hpp"
@@ -30,15 +33,17 @@ class EndpointCache {
 
   /// Returns true if (rank, context) is already cached; otherwise
   /// marks it cached and returns false (caller pays creation cost).
+  /// Throws pgasq::Error if rank or context is out of range.
   bool lookup_or_mark(RankId rank, int context);
 
-  /// Number of cached endpoints (the clique size zeta actually touched).
-  std::size_t size() const { return created_count_; }
+  /// Number of cached endpoints: zeta * rho, the touched clique times
+  /// the contexts used per member.
+  std::size_t size() const { return created_.size(); }
 
  private:
+  int num_ranks_;
   int contexts_per_rank_;
-  std::vector<std::uint8_t> created_;  // [rank * contexts + ctx]
-  std::size_t created_count_ = 0;
+  std::unordered_set<std::uint64_t> created_;  // rank * contexts + ctx
 };
 
 /// Bounded remote-region cache with LFU (default) or LRU replacement.

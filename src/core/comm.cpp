@@ -189,7 +189,6 @@ void Comm::init() {
   region_cache_ =
       std::make_unique<RegionCache>(opt.region_cache_capacity, opt.region_cache_policy);
   tracker_ = std::make_unique<ConflictTracker>(opt.consistency, nprocs());
-  notifications_.assign(static_cast<std::size_t>(nprocs()), 0);
   monitor_ = process_.machine().monitor();
 
   process_.create_client();
@@ -605,16 +604,19 @@ void Comm::notify(RankId target) {
 
 void Comm::wait_notify(RankId producer, std::uint64_t count) {
   PGASQ_CHECK(producer >= 0 && producer < nprocs());
-  const auto idx = static_cast<std::size_t>(producer);
-  progress_until([this, idx, count] { return notifications_[idx] >= count; });
+  progress_until(
+      [this, producer, count] { return notifications_from(producer) >= count; });
 }
 
 std::uint64_t Comm::notifications_from(RankId producer) const {
-  return notifications_.at(static_cast<std::size_t>(producer));
+  PGASQ_CHECK(producer >= 0 && producer < nprocs(),
+              << "producer " << producer << " outside [0, " << nprocs() << ")");
+  const auto it = notifications_.find(producer);
+  return it == notifications_.end() ? 0 : it->second;
 }
 
 void Comm::on_notify(pami::Context& ctx, const pami::AmMessage& msg) {
-  ++notifications_[static_cast<std::size_t>(msg.source.rank)];
+  ++notifications_[msg.source.rank];
   // The consumer may be parked on its main context.
   main_context().post_completion([] {}, 0);
   (void)ctx;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/caches.hpp"
@@ -265,7 +266,8 @@ class Comm {
   /// Blocks until `count` notifications from `producer` have arrived
   /// (cumulative across the program).
   void wait_notify(RankId producer, std::uint64_t count = 1);
-  /// Notifications received so far from `producer`.
+  /// Notifications received so far from `producer` (0 if it never
+  /// notified).
   std::uint64_t notifications_from(RankId producer) const;
 
   /// ARMCI_Fence: remote completion of all writes to `target`.
@@ -522,8 +524,9 @@ class Comm {
     std::optional<pami::MemoryRegion> region;
   };
   std::vector<LocalAllocation> local_allocations_;
-  /// Cumulative notifications received, by producer rank.
-  std::vector<std::uint64_t> notifications_;
+  /// Cumulative notifications received, by producer rank; a producer
+  /// gets an entry on its first notify.
+  std::unordered_map<RankId, std::uint64_t> notifications_;
   std::shared_ptr<void> coll_slot_;
   std::shared_ptr<void> nbc_slot_;
   std::function<void()> barrier_hook_;

@@ -1,13 +1,18 @@
 #include "core/consistency.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace pgasq::armci {
 
 ConflictTracker::ConflictTracker(ConsistencyMode mode, int num_ranks)
-    : mode_(mode), per_target_(static_cast<std::size_t>(num_ranks), 0) {}
+    : mode_(mode), num_ranks_(num_ranks) {
+  PGASQ_CHECK(num_ranks >= 1, << "num_ranks = " << num_ranks);
+}
+
+void ConflictTracker::check_target(RankId target) const {
+  PGASQ_CHECK(target >= 0 && target < num_ranks_,
+              << "target " << target << " outside [0, " << num_ranks_ << ")");
+}
 
 std::uint64_t ConflictTracker::pack(RankId target, std::uint64_t region_id) {
   PGASQ_CHECK(region_id < (1ULL << 32), << "region id " << region_id);
@@ -17,7 +22,8 @@ std::uint64_t ConflictTracker::pack(RankId target, std::uint64_t region_id) {
 
 ConflictTracker::Key ConflictTracker::on_write_initiated(RankId target,
                                                          std::uint64_t region_id) {
-  ++per_target_.at(static_cast<std::size_t>(target));
+  check_target(target);
+  ++per_target_[target];
   ++total_;
   if (mode_ == ConsistencyMode::kPerRegion) {
     ++per_region_[pack(target, region_id)];
@@ -27,9 +33,11 @@ ConflictTracker::Key ConflictTracker::on_write_initiated(RankId target,
 
 void ConflictTracker::on_write_acked(const Key& key) {
   if (key.gen != gen_) return;  // write forgotten by reset_outstanding()
-  auto& t = per_target_.at(static_cast<std::size_t>(key.target));
-  PGASQ_CHECK(t > 0, << "write ack underflow for target " << key.target);
-  --t;
+  check_target(key.target);
+  const auto t = per_target_.find(key.target);
+  PGASQ_CHECK(t != per_target_.end(),
+              << "write ack underflow for target " << key.target);
+  if (--t->second == 0) per_target_.erase(t);
   PGASQ_CHECK(total_ > 0);
   --total_;
   if (mode_ == ConsistencyMode::kPerRegion) {
@@ -42,7 +50,7 @@ void ConflictTracker::on_write_acked(const Key& key) {
 }
 
 void ConflictTracker::reset_outstanding() {
-  std::fill(per_target_.begin(), per_target_.end(), 0);
+  per_target_.clear();
   per_region_.clear();
   total_ = 0;
   ++gen_;
@@ -62,12 +70,15 @@ bool ConflictTracker::read_requires_fence(RankId target,
 }
 
 std::uint64_t ConflictTracker::outstanding_to(RankId target) const {
-  return per_target_.at(static_cast<std::size_t>(target));
+  check_target(target);
+  const auto it = per_target_.find(target);
+  return it == per_target_.end() ? 0 : it->second;
 }
 
 std::uint64_t ConflictTracker::outstanding_to_region(RankId target,
                                                      std::uint64_t region_id) const {
   if (mode_ == ConsistencyMode::kPerTarget) return outstanding_to(target);
+  check_target(target);
   const auto it = per_region_.find(pack(target, region_id));
   return it == per_region_.end() ? 0 : it->second;
 }

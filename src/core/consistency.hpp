@@ -15,12 +15,13 @@
 //
 // The tracker maintains outstanding-write counts keyed accordingly;
 // remote acknowledgements (NIC-level for RDMA puts, post-apply for
-// accumulates) decrement them.
+// accumulates) decrement them. Counts exist only for targets (and
+// regions) with writes in flight, so host memory follows the touched
+// clique zeta, not the clique size p.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "core/types.hpp"
 
@@ -76,11 +77,14 @@ class ConflictTracker {
 
  private:
   static std::uint64_t pack(RankId target, std::uint64_t region_id);
+  void check_target(RankId target) const;
 
   ConsistencyMode mode_;
-  /// Outstanding write count per target (both modes need the
-  /// per-target total for fence(target)).
-  std::vector<std::uint64_t> per_target_;
+  int num_ranks_;
+  /// Outstanding write count per target with writes in flight (both
+  /// modes need the per-target total for fence(target)); an entry is
+  /// erased when its count drops to zero.
+  std::unordered_map<RankId, std::uint64_t> per_target_;
   /// Outstanding write count per (target, region) — per-region mode.
   std::unordered_map<std::uint64_t, std::uint64_t> per_region_;
   std::uint64_t total_ = 0;

@@ -3,6 +3,8 @@
 // positive difference the paper's dgemm example motivates.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/comm.hpp"
 #include "core/consistency.hpp"
 
@@ -58,6 +60,85 @@ TEST(ConflictTracker, AckUnderflowRejected) {
   t.on_write_acked(k);
   EXPECT_THROW(t.on_write_acked(k), Error);
 }
+
+// A clique far larger than the peers touched: untouched targets read
+// as idle, acked targets drop back to idle, and range checks stay loud.
+constexpr int kLargeClique = 1 << 20;
+
+class LargeClique : public ::testing::TestWithParam<ConsistencyMode> {};
+
+TEST_P(LargeClique, UntouchedTargetsReadIdle) {
+  ConflictTracker t(GetParam(), kLargeClique);
+  const auto k1 = t.on_write_initiated(3, 7);
+  const auto k2 = t.on_write_initiated(70000, 7);
+  const auto k3 = t.on_write_initiated(kLargeClique - 1, 9);
+  EXPECT_EQ(t.outstanding_total(), 3u);
+  for (const RankId idle : {0, 4, 69999, kLargeClique - 2}) {
+    EXPECT_EQ(t.outstanding_to(idle), 0u) << idle;
+    EXPECT_EQ(t.outstanding_to_region(idle, 7), 0u) << idle;
+    EXPECT_FALSE(t.read_requires_fence(idle, 7)) << idle;
+    EXPECT_FALSE(t.read_requires_fence(idle, 0)) << idle;
+    EXPECT_EQ(t.status(idle, 7), 0) << idle;
+  }
+  EXPECT_EQ(t.outstanding_to(70000), 1u);
+  EXPECT_TRUE(t.read_requires_fence(70000, 7));
+  t.on_write_acked(k2);
+  EXPECT_EQ(t.outstanding_to(70000), 0u);
+  EXPECT_FALSE(t.read_requires_fence(70000, 7));
+  t.on_write_acked(k1);
+  t.on_write_acked(k3);
+  EXPECT_EQ(t.outstanding_to(3), 0u);
+  EXPECT_EQ(t.outstanding_to(kLargeClique - 1), 0u);
+  EXPECT_EQ(t.outstanding_total(), 0u);
+}
+
+TEST_P(LargeClique, ResetForgetsEverythingAndIgnoresStaleAcks) {
+  ConflictTracker t(GetParam(), kLargeClique);
+  const auto stale = t.on_write_initiated(5, 7);
+  t.on_write_initiated(600000, 0);
+  t.on_write_initiated(600000, 8);
+  t.reset_outstanding();
+  EXPECT_EQ(t.outstanding_total(), 0u);
+  EXPECT_EQ(t.outstanding_to(5), 0u);
+  EXPECT_EQ(t.outstanding_to(600000), 0u);
+  EXPECT_FALSE(t.read_requires_fence(600000, 8));
+  // A write initiated after the reset is not debited by a pre-reset ack.
+  const auto fresh = t.on_write_initiated(5, 7);
+  t.on_write_acked(stale);
+  EXPECT_EQ(t.outstanding_to(5), 1u);
+  EXPECT_EQ(t.outstanding_total(), 1u);
+  t.on_write_acked(fresh);
+  EXPECT_EQ(t.outstanding_total(), 0u);
+}
+
+TEST_P(LargeClique, AckForNeverWrittenTargetUnderflows) {
+  ConflictTracker t(GetParam(), kLargeClique);
+  t.on_write_initiated(1, 7);
+  try {
+    t.on_write_acked(ConflictTracker::Key{424242, 7});
+    FAIL() << "ack for a target with no write in flight was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("write ack underflow"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(t.outstanding_to(1), 1u);
+}
+
+TEST_P(LargeClique, TargetOutsideCliqueThrows) {
+  ConflictTracker t(GetParam(), kLargeClique);
+  for (const RankId bad : {-1, kLargeClique}) {
+    EXPECT_THROW(t.on_write_initiated(bad, 7), Error) << bad;
+    EXPECT_THROW(t.on_write_acked(ConflictTracker::Key{bad, 7}), Error) << bad;
+    EXPECT_THROW(t.outstanding_to(bad), Error) << bad;
+    EXPECT_THROW(t.outstanding_to_region(bad, 7), Error) << bad;
+    EXPECT_THROW(t.read_requires_fence(bad, 7), Error) << bad;
+  }
+  EXPECT_EQ(t.outstanding_total(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LargeClique,
+                         ::testing::Values(ConsistencyMode::kPerTarget,
+                                           ConsistencyMode::kPerRegion));
 
 namespace {
 WorldConfig cfg_with(ConsistencyMode mode) {

@@ -64,6 +64,29 @@ TEST(Notify, CountsAccumulateAcrossRounds) {
   });
 }
 
+TEST(Notify, SilentProducerReadsZeroAndBadProducerThrows) {
+  World world(make_cfg(3));
+  world.spmd([](Comm& comm) {
+    auto& mem = comm.malloc_collective(sizeof(std::int64_t));
+    if (comm.rank() == 0) {
+      std::int64_t v = 1;
+      comm.put(&v, mem.at(2), sizeof v);
+      comm.notify(2);
+    } else if (comm.rank() == 2) {
+      comm.wait_notify(0);
+      EXPECT_EQ(comm.notifications_from(0), 1u);
+      EXPECT_EQ(comm.notifications_from(1), 0u);  // rank 1 never notifies
+      EXPECT_EQ(comm.notifications_from(2), 0u);
+      comm.wait_notify(1, 0);  // nothing owed: returns at once
+    }
+    for (const RankId bad : {-1, 3}) {
+      EXPECT_THROW(comm.notifications_from(bad), Error) << bad;
+      EXPECT_THROW(comm.wait_notify(bad), Error) << bad;
+    }
+    comm.barrier();
+  });
+}
+
 TEST(Notify, RingPipeline) {
   // Each rank produces for its right neighbour in sequence: a ring of
   // pairwise synchronizations with no global barrier inside the loop.

@@ -23,6 +23,31 @@ TEST(EndpointCache, MarksOncePerRankContext) {
   EXPECT_THROW(cache.lookup_or_mark(4, 0), Error);
 }
 
+TEST(EndpointCache, OutOfRangeContextDoesNotAliasAnotherRank) {
+  EndpointCache cache(4, 2);
+  // (1, 2) flattens to (2, 0) and (1, -1) to (0, 1): each must be
+  // rejected, not silently mark another rank's endpoint.
+  EXPECT_THROW(cache.lookup_or_mark(1, 2), Error);
+  EXPECT_THROW(cache.lookup_or_mark(1, -1), Error);
+  EXPECT_THROW(cache.lookup_or_mark(-1, 0), Error);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup_or_mark(2, 0));
+  EXPECT_FALSE(cache.lookup_or_mark(0, 1));
+}
+
+TEST(EndpointCache, SizeCountsOnlyTouchedPairsOfALargeClique) {
+  EndpointCache cache(1 << 20, 2);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup_or_mark(0, 0));
+  EXPECT_FALSE(cache.lookup_or_mark(12345, 1));
+  EXPECT_FALSE(cache.lookup_or_mark((1 << 20) - 1, 0));
+  EXPECT_TRUE(cache.lookup_or_mark(12345, 1));
+  EXPECT_FALSE(cache.lookup_or_mark(12345, 0));
+  EXPECT_EQ(cache.size(), 4u);  // zeta = 3 peers, one of them on both contexts
+  EXPECT_THROW(cache.lookup_or_mark(1 << 20, 0), Error);
+  EXPECT_THROW(cache.lookup_or_mark(0, 2), Error);
+}
+
 TEST(RegionCache, HitBumpsFrequencyMissCounts) {
   RegionCache cache(4);
   cache.insert(1, region(1, 10));

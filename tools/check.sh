@@ -281,9 +281,41 @@ knob_gate() {
   echo "knob gate OK: typos rejected with hints, examples take shared knobs" >&2
 }
 
+scale_gate() {
+  # Host-memory scale gate: per-rank ARMCI state (endpoint cache, write
+  # tracker, notification counters) is sized by the peers a rank
+  # touches, so quickstart's peak RSS must grow linearly with the rank
+  # count: RSS per rank at 16384 ranks within 1.5x of the 1024-rank
+  # figure, and the 16384-rank run under 1 GB. Each run is measured in
+  # its own python3 process (getrusage's RUSAGE_CHILDREN peak).
+  local dir="$1"
+  echo "=== scale gate: ${dir}" >&2
+  python3 - "${repo}/${dir}/examples/quickstart" <<'PY'
+import subprocess, sys, time
+MEASURE = ("import resource, subprocess, sys; "
+           "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+           "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+def peak_mb(ranks):
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", MEASURE, sys.argv[1],
+                          f"--ranks={ranks}"],
+                         check=True, capture_output=True, text=True).stdout
+    mb = int(out) / 1024  # ru_maxrss is in KiB on Linux
+    print(f"quickstart --ranks={ranks}: {mb:.1f} MB peak RSS "
+          f"({mb * 1024 / ranks:.1f} KB/rank), {time.monotonic() - t0:.2f} s")
+    return mb
+small, large = peak_mb(1024), peak_mb(16384)
+growth = (large / 16384) / (small / 1024)
+assert growth <= 1.5, f"RSS per rank grew {growth:.2f}x from 1K to 16K ranks"
+assert large <= 1024, f"16K-rank run needed {large:.0f} MB > 1 GB"
+print(f"scale gate OK: RSS per rank 1K -> 16K ranks x{growth:.2f}")
+PY
+}
+
 pass build-check
 perfbench_pass
 knob_gate build-check
+scale_gate build-check
 obs_gate build-check
 async_gate build-check
 kvs_gate build-check
