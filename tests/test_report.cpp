@@ -8,12 +8,17 @@
 #include <sstream>
 #include <vector>
 
+#include "async/async.hpp"
 #include "coll/coll.hpp"
+#include "coll/nbc.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
 #include "ft/liveness.hpp"
 #include "ft/recovery.hpp"
 #include "kvs/kvs.hpp"
+#include "obs/critpath.hpp"
+#include "obs/timeline.hpp"
+#include "sim/trace.hpp"
 
 namespace pgasq::armci {
 namespace {
@@ -221,6 +226,131 @@ TEST(Report, GoldenTextAndJson) {
     const kvs::KvResult r = kvs::run_workload(world, kc);
     kvs::export_metrics(world.app_metrics(), r, {{"mix", "zipfian"}});
     expect_golden_reports("kvs", world);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden observability outputs. Two small runs with every sink on (trace
+// recorder, timeline, link usage, critical path), one per network model,
+// pin the trace JSON, the pgasq.timeline JSON, the link CSV and the
+// pgasq.critpath JSON byte for byte: the trace-track and series
+// registration order included, since the contention run caps the series
+// count and so keeps only the first ones registered.
+
+void expect_golden_observability(const std::string& name, const World& world) {
+  const pami::Machine& m = world.machine();
+  ASSERT_NE(m.trace(), nullptr);
+  ASSERT_NE(m.timeline(), nullptr);
+  ASSERT_NE(m.link_usage(), nullptr);
+  ASSERT_NE(m.critpath(), nullptr);
+  expect_golden(name + "_trace.json", m.trace()->to_json());
+  expect_golden(name + "_timeline.json", m.timeline()->to_json().dump() + "\n");
+  expect_golden(name + "_links.csv", m.link_usage()->to_csv());
+  expect_golden(name + "_critpath.json", m.critpath()->to_json().dump() + "\n");
+}
+
+WorldConfig all_sinks_on(const std::string& name) {
+  WorldConfig cfg;
+  cfg.machine.trace_json_path = ::testing::TempDir() + name + ".trace.json";
+  cfg.machine.obs.links = true;
+  cfg.machine.obs.timeline = true;
+  cfg.machine.obs.timeline_bucket = from_us(50);
+  cfg.machine.obs.critpath = true;
+  return cfg;
+}
+
+TEST(Report, GoldenObservabilityOutputs) {
+  {
+    // LogGP: an open-loop key-value service under packet loss and
+    // corruption, with a one-credit flow window, deadlines and AIMD
+    // admission control.
+    WorldConfig cfg = all_sinks_on("obs_loggp");
+    cfg.machine.num_ranks = 4;
+    cfg.machine.fault.seed = 3;
+    cfg.machine.fault.drop_prob = 0.05;
+    cfg.machine.fault.corrupt_prob = 0.05;
+    cfg.machine.integrity.configured = true;
+    cfg.machine.flow.configured = true;
+    cfg.machine.flow.credits = 1;
+    cfg.machine.flow.deadline_us = 40.0;
+    cfg.machine.flow.admit = true;
+    cfg.machine.flow.init_limit = 2;
+    cfg.machine.flow.low_prio_frac = 0.3;
+    World world(cfg);
+    kvs::KvConfig kc;
+    kc.keys = 64;
+    kc.requests = 16;
+    kc.get_ratio = 0.5;
+    kc.faa_ratio = 0.2;
+    kc.value_bytes = 128;
+    kc.arrival_rate = 100000.0;
+    kc.verify = false;
+    kvs::run_workload(world, kc);
+    ASSERT_NE(world.machine().injector(), nullptr);
+    const fault::FaultStats& fs = world.machine().injector()->stats();
+    EXPECT_GT(fs.packets_dropped, 0u);
+    EXPECT_GT(fs.packets_corrupted, 0u);
+    const flow::FlowStats& st = world.machine().flow()->stats();
+    EXPECT_GT(st.expired_client + st.expired_server, 0u);
+    EXPECT_GT(st.shed_low_prio + st.shed_high_prio, 0u);
+    expect_golden_observability("obs_loggp", world);
+  }
+  {
+    // Link contention: a burst of non-blocking puts through a
+    // one-credit flow window, a software allreduce, an iallreduce on
+    // the async runtime, then a node death during a barrier loop and
+    // the survivors' rollback.
+    WorldConfig cfg = all_sinks_on("obs_contention");
+    cfg.machine.num_ranks = 4;
+    cfg.machine.network_model = "contention";
+    cfg.machine.dims = topo::Coord5{2, 2, 1, 1, 1};
+    cfg.machine.obs.timeline_max_series = 20;
+    cfg.machine.fault.node_fails.push_back({/*node=*/2, from_us(5800)});
+    cfg.machine.flow.configured = true;
+    cfg.machine.flow.credits = 1;
+    cfg.armci.coll = {{"algo.allreduce", "recdbl"}};
+    World world(cfg);
+    world.spmd([](Comm& comm) {
+      constexpr std::size_t kBytes = 1024;
+      auto& mem = comm.malloc_collective(4 * kBytes);
+      auto* src = static_cast<std::byte*>(comm.malloc_local(4 * kBytes));
+      const RankId dst = (comm.rank() + 1) % comm.nprocs();
+      Handle h[4];
+      for (int k = 0; k < 4; ++k) {
+        const std::size_t off = static_cast<std::size_t>(k) * kBytes;
+        comm.nb_put(src + off, mem.at(dst, off), kBytes, h[k]);
+      }
+      for (auto& hh : h) comm.wait(hh);
+      double x[8];
+      for (int k = 0; k < 8; ++k) x[k] = comm.rank() + k;
+      coll::CollEngine::of(comm).allreduce_sum(x, 8);
+      double y = comm.rank();
+      async::Runtime::of(comm).wait(coll::NbcEngine::of(comm).iallreduce_sum(&y, 1));
+      ft::Runtime rt(comm, {}, std::vector<ga::GlobalArray*>{});
+      int i = 0;
+      while (i < 50) {
+        try {
+          comm.compute(from_us(10));
+          comm.barrier();
+          ++i;
+        } catch (const ft::PeerDeadError&) {
+          bool alive = true;
+          while (true) {
+            try {
+              alive = rt.recover();
+              break;
+            } catch (const ft::PeerDeadError&) {
+            }
+          }
+          if (!alive) return;
+        }
+      }
+    });
+    ASSERT_NE(world.machine().monitor(), nullptr);
+    EXPECT_EQ(world.machine().monitor()->stats().detections, 1u);
+    EXPECT_GT(world.machine().flow()->stats().credit_stalls, 0u);
+    EXPECT_TRUE(world.machine().timeline()->truncated());
+    expect_golden_observability("obs_contention", world);
   }
 }
 
