@@ -70,6 +70,8 @@ Outcome run(const Config& cli, int contexts) {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts"},
+                     "the AT rho=1 vs rho=2 sweep of bench_abl_contexts");
   bench::print_banner("bench_abl_contexts: shared (rho=1) vs split (rho=2) contexts",
                       "S III-D — context-lock contention between main & async threads");
   Table table({"contexts(rho)", "fadd_avg_us", "home_get_us", "lock_wait_ms",

@@ -27,6 +27,8 @@ double run(const Config& cli, int p, bool hardware) {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts", "ranks"},
+                     "the software vs NIC AMO x process-count sweep of bench_abl_hw_amo");
   bench::print_banner("bench_abl_hw_amo: software-serviced vs NIC fetch-and-add",
                       "S IV-B3 — 'hardware assisted fetch-and-add can help'");
   Table table({"procs", "software_AT_us", "nic_amo_us"});

@@ -11,6 +11,8 @@ using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts", "ranks"},
+                     "the D/AT x process-count sweep of bench_app_stencil");
   bench::print_banner("bench_app_stencil: RDMA-dominated stencil, D vs AT",
                       "negative control for S III-D (AT helps AMOs, not RDMA)");
   apps::StencilConfig scfg;

@@ -10,6 +10,8 @@ using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts", "ranks"},
+                     "the D/AT x process-count sweep of bench_fig11_scf");
   bench::print_banner("bench_fig11_scf: NWChem SCF proxy, 6 H2O / 644 bf",
                       "Fig 11 — AT up to 30% faster; counter time collapses");
 

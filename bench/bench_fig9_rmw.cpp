@@ -14,6 +14,8 @@ using namespace pgasq;
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts", "ranks"},
+                     "the D/AT x process-count sweep of bench_fig9_rmw");
   bench::print_banner("bench_fig9_rmw: fetch-and-add latency vs process count",
                       "Fig 9 — D vs AT, idle vs computing rank 0");
   const int ops = static_cast<int>(cli.get_int("ops", 8));

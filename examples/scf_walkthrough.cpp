@@ -41,6 +41,8 @@ apps::ScfResult run_mode(const Config& cli, armci::ProgressMode mode,
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts"},
+                     "the Default then Async-Thread runs of scf_walkthrough");
   apps::ScfConfig scf;
   scf.nbf = cli.get_int("nbf", 96);
   scf.block = cli.get_int("block", 8);

@@ -73,6 +73,13 @@ armci::WorldConfig make_world_config(const Config& cli, int default_ranks,
   return cfg;
 }
 
+void reject_swept(const Config& cli, std::initializer_list<const char*> keys,
+                  const char* sweep) {
+  for (const char* key : keys) {
+    PGASQ_CHECK(!cli.has(key), << key << " is set by " << sweep << "; drop --" << key);
+  }
+}
+
 void emit_observability(const Config& cli, const armci::World& world) {
   const std::string report_path = cli.get_string("report.json_path", "");
   if (!report_path.empty()) armci::write_json_report(world, report_path);

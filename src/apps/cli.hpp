@@ -9,6 +9,8 @@
 // (target|region), seed, hardware_amo.
 #pragma once
 
+#include <initializer_list>
+
 #include "core/world.hpp"
 #include "util/config.hpp"
 
@@ -18,6 +20,12 @@ namespace pgasq::apps {
 /// `default_ranks_per_node` apply when ranks / ranks_per_node are unset.
 armci::WorldConfig make_world_config(const Config& cli, int default_ranks,
                                      int default_ranks_per_node = 1);
+
+/// For a program that sweeps `keys` itself (progress modes, contexts,
+/// rank counts): throws Error naming `sweep` when `cli` sets one, since
+/// the sweep would read the key and then override it.
+void reject_swept(const Config& cli, std::initializer_list<const char*> keys,
+                  const char* sweep);
 
 /// End-of-run observability artifacts: writes the versioned
 /// machine-readable report (--report.json_path, e.g. BENCH_fig3.json),

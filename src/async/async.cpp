@@ -32,13 +32,9 @@ Runtime* Runtime::maybe_of(armci::Comm& comm) {
 
 Runtime::Runtime(armci::Comm& comm)
     : comm_(comm), config_(AsyncConfig::from_options(comm.options())) {
-  timeline_ = comm.world().machine().timeline();
-  if (timeline_ != nullptr) {
-    pending_series_ =
-        timeline_->series("async.pending_futures", obs::Timeline::Kind::kGauge);
-    queue_series_ =
-        timeline_->series("async.cont_queue_depth", obs::Timeline::Kind::kGauge);
-  }
+  timeline_ = comm.world().machine().sinks().timeline;
+  pending_series_ = timeline_->series("async.pending_futures", obs::Timeline::Kind::kGauge);
+  queue_series_ = timeline_->series("async.cont_queue_depth", obs::Timeline::Kind::kGauge);
   comm.set_async_hook([this] { drain(); }, [this] { check_quiesced(); });
   comm.set_async_poll_hook([this] {
     using Work = armci::Comm::AsyncWork;
@@ -222,7 +218,6 @@ fut::Future<std::size_t> Runtime::when_any(std::vector<armci::Handle*> hs) {
 }
 
 void Runtime::sample_gauges() {
-  if (timeline_ == nullptr) return;
   const Time t = comm_.now();
   timeline_->sample(pending_series_, t, static_cast<double>(pending_));
   timeline_->sample(queue_series_, t, static_cast<double>(queue_.size()));

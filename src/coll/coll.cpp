@@ -106,7 +106,8 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
       config_(CollConfig::from_options(comm.options())),
       members_(std::move(members)),
       stats_(&comm.coll_stats()),
-      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt(),
+             [&comm] { return "coll/r" + std::to_string(comm.rank()); }) {
   pami::Machine& machine = comm.world().machine();
   const topo::Torus5D& torus = machine.torus();
   const topo::RankMapping& map = machine.mapping();
@@ -162,11 +163,6 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   if (!shared) shared = std::make_shared<HwShared>(p);
   hw_ = std::static_pointer_cast<HwShared>(shared);
 
-  if (sim::TraceRecorder* trace = machine.engine().trace()) {
-    slots_.attach_trace(trace, trace->register_track("coll/r" + std::to_string(me),
-                                                     !machine.rank_traced(me)));
-  }
-
   // Collective: every rank constructs its engine at the same program
   // point, so the arena rendezvous lines up. The barrier hook is
   // installed only afterwards — the allocation's internal barriers
@@ -186,14 +182,16 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
       config_(CollConfig::from_options(comm.options())),
       members_(spec.members),
       group_(true),
+      member_(std::find(members_.begin(), members_.end(), comm.rank()) != members_.end()),
       label_(spec.label),
-      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt(), [this, &comm] {
+        return member_ ? "grp/" + label_ + "/r" + std::to_string(comm.rank()) : "";
+      }) {
   pami::Machine& machine = comm.world().machine();
   const topo::Torus5D& torus = machine.torus();
   const topo::RankMapping& map = machine.mapping();
   const int me = comm.rank();
   const auto it = std::find(members_.begin(), members_.end(), me);
-  member_ = it != members_.end();
   me_ = member_ ? static_cast<int>(it - members_.begin()) : -1;
 
   geometry_.p = static_cast<int>(members_.size());
@@ -263,11 +261,6 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
 
   if (member_) {
     stats_ = &comm.group_coll_stats(label_);
-    if (sim::TraceRecorder* trace = machine.engine().trace()) {
-      slots_.attach_trace(
-          trace, trace->register_track("grp/" + label_ + "/r" + std::to_string(me),
-                                       !machine.rank_traced(me)));
-    }
   } else {
     stats_ = &comm.coll_stats();  // never written: ops reject non-members
   }

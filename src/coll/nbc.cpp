@@ -84,17 +84,10 @@ NbcEngine::NbcEngine(armci::Comm& comm)
       rt_(async::Runtime::of(comm)),
       p_(comm.nprocs()),
       me_(comm.rank()),
-      slots_(comm, kSlotNames, comm.next_coll_engine_salt()) {
-  pami::Machine& machine = comm.world().machine();
-  if (sim::TraceRecorder* trace = machine.engine().trace()) {
-    slots_.attach_trace(trace,
-                        trace->register_track("coll-nbc/r" + std::to_string(me_),
-                                              !machine.rank_traced(me_)));
-  }
-  if ((timeline_ = machine.timeline()) != nullptr) {
-    open_series_ =
-        timeline_->series("async.nbc_open_ops", obs::Timeline::Kind::kGauge);
-  }
+      slots_(comm, kSlotNames, comm.next_coll_engine_salt(),
+             [&comm] { return "coll-nbc/r" + std::to_string(comm.rank()); }),
+      timeline_(comm.world().machine().sinks().timeline),
+      open_series_(timeline_->series("async.nbc_open_ops", obs::Timeline::Kind::kGauge)) {
   poller_id_ = rt_.register_poller([this] { step_all(); });
 }
 
@@ -339,7 +332,6 @@ void NbcEngine::finish(Op& op) {
 }
 
 void NbcEngine::sample_gauge() {
-  if (timeline_ == nullptr) return;
   timeline_->sample(open_series_, comm_.now(),
                     static_cast<double>(open_.size()));
 }

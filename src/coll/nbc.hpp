@@ -141,8 +141,8 @@ class NbcEngine {
   std::uint64_t hops_sent_ = 0;
   std::uint64_t wraps_ = 0;
 
-  obs::Timeline* timeline_ = nullptr;
-  obs::Timeline::SeriesId open_series_ = obs::Timeline::kNone;
+  obs::Timeline* timeline_;
+  obs::Timeline::SeriesId open_series_;
 };
 
 }  // namespace pgasq::coll

@@ -39,11 +39,19 @@ int ceil_log2(int p) {
 }
 
 SlotTransport::SlotTransport(armci::Comm& comm, const SlotNames& names,
-                             std::uint64_t salt)
+                             std::uint64_t salt,
+                             const std::function<std::string()>& track_name)
     : comm_(comm), names_(names), salt_(static_cast<std::uint32_t>(salt)) {
-  fault::Integrity* integrity = comm.world().machine().integrity();
+  pami::Machine& machine = comm.world().machine();
+  fault::Integrity* integrity = machine.integrity();
   if (integrity != nullptr && integrity->config().coll_check) {
     integrity_ = integrity;
+  }
+  if (sim::TraceRecorder* trace = machine.sinks().trace) {
+    const std::string name = track_name();
+    if (name.empty()) return;
+    trace_ = trace;
+    track_ = trace->register_track(name, !machine.rank_traced(comm.rank()));
   }
 }
 

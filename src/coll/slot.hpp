@@ -13,6 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,17 +41,18 @@ struct SlotNames {
 class SlotTransport {
  public:
   /// Slot checksums are on when the machine's integrity layer has
-  /// `coll_check` set. `salt` is the engine's flow-id salt.
-  SlotTransport(armci::Comm& comm, const SlotNames& names, std::uint64_t salt);
+  /// `coll_check` set. `salt` is the engine's flow-id salt. While the
+  /// machine traces, the owning engine's trace track is registered
+  /// here, named by `track_name()` and muted for a rank outside
+  /// trace.sample_ranks. Hop flow points and re-fetch instants land on
+  /// it; the engine records its own events there too. An empty name
+  /// registers no track, and then nothing is traced.
+  SlotTransport(armci::Comm& comm, const SlotNames& names, std::uint64_t salt,
+                const std::function<std::string()>& track_name);
 
   /// Header width: 8 (flag only) or 32 (slot checksums).
   std::size_t hdr() const { return integrity_ == nullptr ? 8 : 32; }
-  /// The owning engine's trace track. Hop flow points and re-fetch
-  /// instants land on it; the engine records its own events there too.
-  void attach_trace(sim::TraceRecorder* trace, std::uint32_t track) {
-    trace_ = trace;
-    track_ = track;
-  }
+  /// The engine's trace recorder, or nullptr when it traces nothing.
   sim::TraceRecorder* trace() const { return trace_; }
   std::uint32_t track() const { return track_; }
 

@@ -201,11 +201,12 @@ topo::Link directed_link(const topo::Torus5D& torus, int node, int dim, int dir)
 }
 }  // namespace
 
-Injector::Injector(FaultPlan plan, const topo::Torus5D& torus)
+Injector::Injector(FaultPlan plan, const topo::Torus5D& torus, const obs::Sinks& sinks)
     : plan_(std::move(plan)),
       torus_(torus),
       rng_(plan_.seed),
-      crng_(splitmix64_of(plan_.seed ^ 0xc0bbc0bbc0bbc0bbULL)) {
+      crng_(splitmix64_of(plan_.seed ^ 0xc0bbc0bbc0bbc0bbULL)),
+      trace_(sinks.trace) {
   for (const auto& spec : plan_.link_faults) {
     PGASQ_CHECK(spec.node >= 0 && spec.node < torus_.num_nodes(),
                 << "fault: link node " << spec.node << " out of range");
@@ -233,6 +234,7 @@ Injector::Injector(FaultPlan plan, const topo::Torus5D& torus)
                 << "fault: node_fail node " << n.node << " out of range");
     PGASQ_CHECK(n.at >= 0, << "fault: node_fail time for node " << n.node);
   }
+  if (trace_ != nullptr) track_ = trace_->register_track("faults");
 }
 
 bool Injector::node_dead(int node, Time now) const {
@@ -250,15 +252,6 @@ Time Injector::node_fail_time(int node) const {
   return at;
 }
 
-void Injector::set_trace(sim::TraceRecorder* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) track_ = trace_->register_track("faults");
-}
-
-void Injector::mark(const char* name, Time at) {
-  if (trace_ != nullptr) trace_->instant(track_, name, at);
-}
-
 void Injector::trace_mark(const char* name, Time at) const {
   if (trace_ != nullptr) trace_->instant(track_, name, at);
 }
@@ -267,7 +260,7 @@ PacketFate Injector::roll_packet(Time now) {
   if (plan_.drop_prob <= 0.0) return PacketFate::kDelivered;
   if (rng_.next_double() < plan_.drop_prob) {
     ++stats_.packets_dropped;
-    mark("packet drop", now);
+    trace_mark("packet drop", now);
     return PacketFate::kDropped;
   }
   return PacketFate::kDelivered;
@@ -283,7 +276,7 @@ std::uint64_t Injector::roll_corrupt(Time now) {
   }
   if (crng_.next_double() >= plan_.corrupt_prob) return 0;
   ++stats_.packets_corrupted;
-  mark("packet corrupt", now);
+  trace_mark("packet corrupt", now);
   // Nonzero by construction so 0 can mean "clean".
   return crng_.next_u64() | 1ULL;
 }
@@ -322,24 +315,24 @@ Time Injector::stalled_until(int rank, Time now) const {
 void Injector::record_stall(Time from, Time until) {
   ++stats_.progress_stalls;
   stats_.stall_time += until - from;
-  mark("progress stall", from);
+  trace_mark("progress stall", from);
 }
 
 void Injector::record_retransmit(Time backoff, Time now) {
   ++stats_.retransmits;
   stats_.backoff_time += backoff;
-  mark("retransmit", now);
+  trace_mark("retransmit", now);
 }
 
 void Injector::record_reroute(std::size_t extra_hops, Time now) {
   ++stats_.reroutes;
   stats_.rerouted_extra_hops += extra_hops;
-  mark("reroute", now);
+  trace_mark("reroute", now);
 }
 
 void Injector::record_degraded_transfer(Time now) {
   ++stats_.degraded_transfers;
-  mark("degraded link", now);
+  trace_mark("degraded link", now);
 }
 
 Time Injector::in_order_arrival(int src_node, int dst_node, Time arrive,

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "topo/torus.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -71,10 +72,6 @@ class IntegrityError : public FaultError {
  public:
   using FaultError::FaultError;
 };
-
-namespace sim {
-class TraceRecorder;
-}
 
 namespace fault {
 
@@ -210,16 +207,15 @@ enum class PacketFate { kDelivered, kDropped, kCorrupted };
 /// fiber decisions and accounts every injected and recovered fault.
 class Injector {
  public:
-  Injector(FaultPlan plan, const topo::Torus5D& torus);
+  /// With a trace recorder in `sinks`, injected and recovered faults
+  /// are mirrored as instant markers on a dedicated "faults" trace
+  /// track (chrome://tracing / Perfetto).
+  Injector(FaultPlan plan, const topo::Torus5D& torus, const obs::Sinks& sinks);
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
 
   const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }
-
-  /// Mirrors injected/recovered faults as instant markers on a
-  /// dedicated "faults" trace track (chrome://tracing / Perfetto).
-  void set_trace(sim::TraceRecorder* trace);
 
   /// Instant marker on the same "faults" track for the layers above
   /// (node-death declarations, epoch bumps, checkpoint commits). Const
@@ -288,7 +284,6 @@ class Injector {
     Time end;
     double capacity;
   };
-  void mark(const char* name, Time at);
 
   FaultPlan plan_;
   const topo::Torus5D& torus_;

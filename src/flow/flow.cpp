@@ -1,6 +1,5 @@
 #include "flow/flow.hpp"
 
-#include "obs/timeline.hpp"
 #include "sim/trace.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
@@ -51,8 +50,8 @@ FlowConfig FlowConfig::from_config(const Config& cfg) {
   return out;
 }
 
-Controller::Controller(const FlowConfig& cfg, int num_ranks)
-    : cfg_(cfg), num_ranks_(num_ranks) {
+Controller::Controller(const FlowConfig& cfg, int num_ranks, const obs::Sinks& sinks)
+    : cfg_(cfg), num_ranks_(num_ranks), trace_(sinks.trace), timeline_(sinks.timeline) {
   if (cfg_.credits > 0) {
     const std::size_t pairs =
         static_cast<std::size_t>(num_ranks) * static_cast<std::size_t>(num_ranks);
@@ -60,6 +59,12 @@ Controller::Controller(const FlowConfig& cfg, int num_ranks)
     head_.assign(pairs, 0);
     count_.assign(pairs, 0);
   }
+  if (trace_ != nullptr) track_ = trace_->register_track("flow");
+  using Kind = obs::Timeline::Kind;
+  tl_window_ = timeline_->series("flow.window_occupancy", Kind::kGauge);
+  tl_stalls_ = timeline_->series("flow.credit_stalls", Kind::kCounter);
+  tl_shed_server_ = timeline_->series("flow.deadline_shed_server", Kind::kCounter);
+  tl_expired_client_ = timeline_->series("flow.deadline_expired_client", Kind::kCounter);
 }
 
 Time Controller::acquire(int src, int dst, Time start) {
@@ -74,9 +79,7 @@ Time Controller::acquire(int src, int dst, Time start) {
     --count_[p];
   }
   stats_.queue_depth.add(count_[p]);
-  if (timeline_ != nullptr) {
-    timeline_->sample(tl_window_, start, static_cast<double>(count_[p]));
-  }
+  timeline_->sample(tl_window_, start, static_cast<double>(count_[p]));
   if (count_[p] < win.size()) return start;
   // Window full: the sender blocks until the oldest in-flight transfer
   // returns its credit (its delivery time — the ring keeps delivery
@@ -85,7 +88,7 @@ Time Controller::acquire(int src, int dst, Time start) {
   ++stats_.credit_stalls;
   stats_.credit_stall_time += granted - start;
   if (trace_ != nullptr) trace_->instant(track_, "credit stall", start);
-  if (timeline_ != nullptr) timeline_->count(tl_stalls_, start);
+  timeline_->count(tl_stalls_, start);
   head_[p] = (head_[p] + 1) % win.size();
   --count_[p];
   return granted;
@@ -116,32 +119,14 @@ bool Controller::expired_at_server(Time deadline, Time now) {
   if (deadline <= 0 || now <= deadline) return false;
   ++stats_.expired_server;
   if (trace_ != nullptr) trace_->instant(track_, "deadline shed", now);
-  if (timeline_ != nullptr) timeline_->count(tl_shed_server_, now);
+  timeline_->count(tl_shed_server_, now);
   return true;
 }
 
 void Controller::note_client_expiry(Time now) {
   ++stats_.expired_client;
   if (trace_ != nullptr) trace_->instant(track_, "deadline expired", now);
-  if (timeline_ != nullptr) timeline_->count(tl_expired_client_, now);
-}
-
-void Controller::set_trace(sim::TraceRecorder* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) track_ = trace_->register_track("flow");
-}
-
-void Controller::set_timeline(obs::Timeline* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    using Kind = obs::Timeline::Kind;
-    tl_window_ = timeline_->series("flow.window_occupancy", Kind::kGauge);
-    tl_stalls_ = timeline_->series("flow.credit_stalls", Kind::kCounter);
-    tl_shed_server_ =
-        timeline_->series("flow.deadline_shed_server", Kind::kCounter);
-    tl_expired_client_ =
-        timeline_->series("flow.deadline_expired_client", Kind::kCounter);
-  }
+  timeline_->count(tl_expired_client_, now);
 }
 
 double jitter(std::uint64_t seed, int rank, std::uint64_t attempt,

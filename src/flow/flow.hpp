@@ -45,19 +45,12 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "obs/sinks.hpp"
 #include "util/histogram.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq {
 class Config;
-
-namespace obs {
-class Timeline;
-}
-
-namespace sim {
-class TraceRecorder;
-}
 
 namespace flow {
 
@@ -155,7 +148,10 @@ struct FlowStats {
 /// sequences yield identical grants and byte-identical reports.
 class Controller {
  public:
-  Controller(const FlowConfig& cfg, int num_ranks);
+  /// Stalls, sheds and expiries land as instants on a "flow" trace
+  /// track, like fault::Injector's "faults" track; the timeline gets the
+  /// credit-window occupancy per acquire plus stall/shed/expiry counters.
+  Controller(const FlowConfig& cfg, int num_ranks, const obs::Sinks& sinks);
 
   const FlowConfig& config() const { return cfg_; }
   FlowStats& stats() { return stats_; }
@@ -180,14 +176,6 @@ class Controller {
   /// Count + mark a client-side expiry.
   void note_client_expiry(Time now);
 
-  /// Mirror of fault::Injector::set_trace — registers the "flow"
-  /// instant track.
-  void set_trace(sim::TraceRecorder* trace);
-
-  /// Continuous telemetry (obs.timeline): credit-window occupancy per
-  /// acquire plus stall/shed/expiry counters. Not owned; nullptr off.
-  void set_timeline(obs::Timeline* timeline);
-
  private:
   FlowConfig cfg_;
   FlowStats stats_;
@@ -198,13 +186,13 @@ class Controller {
   std::vector<std::uint32_t> head_;  // oldest outstanding slot per pair
   std::vector<std::uint32_t> count_;  // outstanding entries per pair
   int num_ranks_ = 0;
-  sim::TraceRecorder* trace_ = nullptr;
+  sim::TraceRecorder* trace_;
   std::uint32_t track_ = 0;
-  obs::Timeline* timeline_ = nullptr;
-  std::uint32_t tl_window_ = 0xffffffffu;  // obs::Timeline::kNone
-  std::uint32_t tl_stalls_ = 0xffffffffu;
-  std::uint32_t tl_shed_server_ = 0xffffffffu;
-  std::uint32_t tl_expired_client_ = 0xffffffffu;
+  obs::Timeline* timeline_;
+  std::uint32_t tl_window_;
+  std::uint32_t tl_stalls_;
+  std::uint32_t tl_shed_server_;
+  std::uint32_t tl_expired_client_;
 
   std::size_t pair_index(int src, int dst) const {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(num_ranks_) +

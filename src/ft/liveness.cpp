@@ -2,17 +2,17 @@
 
 #include <algorithm>
 
-#include "obs/timeline.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::ft {
 
 HealthMonitor::HealthMonitor(LivenessConfig config, const fault::Injector& injector,
-                             const topo::RankMapping& mapping)
+                             const topo::RankMapping& mapping, const obs::Sinks& sinks)
     : config_(std::move(config)),
       injector_(injector),
       mapping_(mapping),
-      live_ranks_(mapping.num_ranks()) {
+      live_ranks_(mapping.num_ranks()),
+      timeline_(sinks.timeline) {
   PGASQ_CHECK(config_.suspect_acks >= 1, << "ft.suspect_acks must be >= 1");
   PGASQ_CHECK(config_.heartbeat_period > 0 && config_.heartbeat_timeout > 0,
               << "ft heartbeat knobs must be positive");
@@ -31,6 +31,7 @@ HealthMonitor::HealthMonitor(LivenessConfig config, const fault::Injector& injec
     if (n.node <= max_node) ++scheduled;
   }
   scheduled_ = scheduled;
+  tl_lag_ = timeline_->series("ft.heartbeat_lag_us", obs::Timeline::Kind::kGauge);
 }
 
 std::vector<int> HealthMonitor::live_ranks() const {
@@ -60,19 +61,9 @@ void HealthMonitor::probe(Time now) {
     if (n.at <= now) worst_lag = std::max(worst_lag, now - n.at);
     if (n.at + config_.heartbeat_timeout <= now) declare_dead(n.node, now);
   }
-  if (timeline_ != nullptr) {
-    // Detection lag: how long the oldest truth-dead, still-undeclared
-    // node has been silent at this probe.
-    timeline_->sample(tl_lag_, now, to_us(worst_lag));
-  }
-}
-
-void HealthMonitor::set_timeline(obs::Timeline* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    tl_lag_ = timeline_->series("ft.heartbeat_lag_us",
-                                obs::Timeline::Kind::kGauge);
-  }
+  // Detection lag: how long the oldest truth-dead, still-undeclared
+  // node has been silent at this probe.
+  timeline_->sample(tl_lag_, now, to_us(worst_lag));
 }
 
 bool HealthMonitor::report_timeout(int suspect_node, Time now) {

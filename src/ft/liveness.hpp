@@ -35,12 +35,10 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "obs/sinks.hpp"
 #include "topo/torus.hpp"
 #include "util/time_types.hpp"
 
-namespace pgasq::obs {
-class Timeline;
-}  // namespace pgasq::obs
 
 namespace pgasq::ft {
 
@@ -92,8 +90,10 @@ struct LivenessConfig {
 /// fault plan schedules node deaths.
 class HealthMonitor {
  public:
+  /// Each probe samples the worst undeclared-death lag into the
+  /// timeline ("ft.heartbeat_lag_us").
   HealthMonitor(LivenessConfig config, const fault::Injector& injector,
-                const topo::RankMapping& mapping);
+                const topo::RankMapping& mapping, const obs::Sinks& sinks);
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
@@ -136,11 +136,6 @@ class HealthMonitor {
   FtStats& stats() { return stats_; }
   const FtStats& stats() const { return stats_; }
 
-  /// Continuous telemetry (obs.timeline): each probe samples the
-  /// worst undeclared-death lag ("ft.heartbeat_lag_us"). Not owned;
-  /// nullptr disables.
-  void set_timeline(obs::Timeline* timeline);
-
   const topo::RankMapping& mapping() const { return mapping_; }
   /// The fault layer's ground truth (also carries the shared "faults"
   /// trace track for recovery-protocol markers).
@@ -160,8 +155,8 @@ class HealthMonitor {
   std::size_t declared_ = 0;
   std::vector<std::function<void()>> listeners_;
   FtStats stats_;
-  obs::Timeline* timeline_ = nullptr;
-  std::uint32_t tl_lag_ = 0xffffffffu;  // obs::Timeline::kNone
+  obs::Timeline* timeline_;
+  std::uint32_t tl_lag_;
 };
 
 }  // namespace pgasq::ft

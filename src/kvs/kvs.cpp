@@ -11,7 +11,6 @@
 #include "coll/coll.hpp"
 #include "core/world.hpp"
 #include "ft/liveness.hpp"
-#include "obs/timeline.hpp"
 #include "pami/machine.hpp"
 #include "sim/trace.hpp"
 #include "util/crc32c.hpp"
@@ -200,24 +199,16 @@ KvStore::KvStore(armci::Comm& comm, const KvConfig& cfg)
   hedge_pool_.resize(8);
   for (HedgeSlot& s : hedge_pool_) s.buf.assign(slot_words_, 0);
   flow_ = comm.world().machine().flow();
-  timeline_ = comm.world().machine().timeline();
-  if (timeline_ != nullptr) {
-    tl_hedge_inflight_ = timeline_->series("kvs.hedge_inflight",
-                                           obs::Timeline::Kind::kGauge);
-    // Per-shard probe series register lazily (only shards that actually
-    // serve probes get one); kNone - 1 marks "not registered yet".
-    tl_probe_.assign(static_cast<std::size_t>(p), obs::Timeline::kNone - 1);
-  }
+  timeline_ = comm.world().machine().sinks().timeline;
+  tl_hedge_inflight_ = timeline_->series("kvs.hedge_inflight", obs::Timeline::Kind::kGauge);
+  tl_probe_ = obs::KeyedSeries(*timeline_, static_cast<std::size_t>(p));
   mem_ = &comm.malloc_collective(table_bytes());
 }
 
 void KvStore::sample_probe(armci::RankId home, std::size_t step) {
-  if (timeline_ == nullptr) return;
-  std::uint32_t& id = tl_probe_[static_cast<std::size_t>(home)];
-  if (id == obs::Timeline::kNone - 1) {
-    id = timeline_->series("kvs.probe_len.s" + std::to_string(home),
-                           obs::Timeline::Kind::kGauge);
-  }
+  const std::uint32_t id =
+      tl_probe_.get(*timeline_, static_cast<std::size_t>(home), obs::Timeline::Kind::kGauge,
+                    [home] { return "kvs.probe_len.s" + std::to_string(home); });
   timeline_->sample(id, comm_.now(), static_cast<double>(step));
 }
 
@@ -336,13 +327,11 @@ const std::uint64_t* KvStore::read_slot(armci::RankId home, std::size_t off,
   HedgeSlot& second = *backup;
   comm_.nb_get(copy.offset(static_cast<std::ptrdiff_t>(off)),
                second.buf.data(), slot_words_ * 8, second.h);
-  if (timeline_ != nullptr) {
-    double inflight = 0.0;
-    for (const HedgeSlot& s : hedge_pool_) {
-      if (s.h.used() && !s.h.done()) inflight += 1.0;
-    }
-    timeline_->sample(tl_hedge_inflight_, comm_.now(), inflight);
+  double inflight = 0.0;
+  for (const HedgeSlot& s : hedge_pool_) {
+    if (s.h.used() && !s.h.done()) inflight += 1.0;
   }
+  timeline_->sample(tl_hedge_inflight_, comm_.now(), inflight);
   if (comm_.wait_any(first.h, second.h)) {
     return first.buf.data();
   }
@@ -623,22 +612,16 @@ KvResult run_workload(armci::World& world, const KvConfig& cfg) {
   const flow::FlowConfig& fcfg = world.machine().config().flow;
   // AIMD admission telemetry (obs.timeline): the limit trajectory and
   // shed decisions. Registered up front so the hot loop stores by id.
-  obs::Timeline* tl = world.machine().timeline();
+  obs::Timeline* tl = world.machine().sinks().timeline;
   const obs::Timeline::SeriesId tl_admit_limit =
-      tl != nullptr
-          ? tl->series("flow.admission_limit", obs::Timeline::Kind::kGauge)
-          : obs::Timeline::kNone;
+      tl->series("flow.admission_limit", obs::Timeline::Kind::kGauge);
   const obs::Timeline::SeriesId tl_admit_shed =
-      tl != nullptr
-          ? tl->series("flow.admission_shed", obs::Timeline::Kind::kCounter)
-          : obs::Timeline::kNone;
+      tl->series("flow.admission_shed", obs::Timeline::Kind::kCounter);
   // Open-loop client backlog: arrivals already due but unserved. THE
   // queue that runs away when offered load exceeds capacity with no
   // admission control; sampled per arrival across all clients.
   const obs::Timeline::SeriesId tl_backlog =
-      tl != nullptr
-          ? tl->series("kvs.client_backlog", obs::Timeline::Kind::kGauge)
-          : obs::Timeline::kNone;
+      tl->series("kvs.client_backlog", obs::Timeline::Kind::kGauge);
   const bool open_loop = cfg.arrival_rate > 0.0;
   const bool enforce = fc != nullptr && fcfg.deadline_us > 0.0;
   const Time slo = cfg.slo_us > 0.0 ? from_us(cfg.slo_us) : fcfg.deadline();
@@ -867,12 +850,9 @@ KvResult run_workload(armci::World& world, const KvConfig& cfg) {
                ++j) {
             ++backlog;
           }
-          if (tl != nullptr) {
-            tl->sample(tl_backlog, comm.now(), static_cast<double>(backlog));
-            if (admit.has_value()) {
-              tl->sample(tl_admit_limit, comm.now(),
-                         static_cast<double>(admit->limit()));
-            }
+          tl->sample(tl_backlog, comm.now(), static_cast<double>(backlog));
+          if (admit.has_value()) {
+            tl->sample(tl_admit_limit, comm.now(), static_cast<double>(admit->limit()));
           }
           if (admit.has_value() && !admit->admit(backlog)) {
             // Load shedding, low-priority class first; high-priority
@@ -880,13 +860,13 @@ KvResult run_workload(armci::World& world, const KvConfig& cfg) {
             if (lowprio[static_cast<std::size_t>(r)] != 0) {
               ++fc->stats().shed_low_prio;
               ++st.shed_ops;
-              if (tl != nullptr) tl->count(tl_admit_shed, comm.now());
+              tl->count(tl_admit_shed, comm.now());
               continue;
             }
             if (backlog >= 2 * admit->limit()) {
               ++fc->stats().shed_high_prio;
               ++st.shed_ops;
-              if (tl != nullptr) tl->count(tl_admit_shed, comm.now());
+              tl->count(tl_admit_shed, comm.now());
               continue;
             }
           }

@@ -42,13 +42,10 @@
 #include "flow/flow.hpp"
 #include "ft/recovery.hpp"
 #include "obs/registry.hpp"
+#include "obs/timeline.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
-
-namespace pgasq::obs {
-class Timeline;
-}  // namespace pgasq::obs
 
 namespace pgasq::kvs {
 
@@ -297,11 +294,10 @@ class KvStore final : public ft::Shardable {
   /// Continuous telemetry (obs.timeline): per-shard probe-chain length
   /// gauges ("kvs.probe_len.s<home>", registered lazily the first time
   /// a probe lands on that shard) and the hedge-pool in-flight gauge.
-  /// Not owned; nullptr keeps every hook a single pointer test.
   void sample_probe(armci::RankId home, std::size_t step);
   obs::Timeline* timeline_ = nullptr;
   std::uint32_t tl_hedge_inflight_ = 0xffffffffu;
-  std::vector<std::uint32_t> tl_probe_;
+  obs::KeyedSeries tl_probe_;
   /// Per-op retry budget (armed only while flow.retry_budget > 0) and
   /// the monotone op id salting its jitter stream.
   std::optional<flow::RetryBudget> budget_;

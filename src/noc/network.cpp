@@ -5,40 +5,32 @@
 #include <sstream>
 #include <string>
 
-#include "obs/timeline.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::noc {
 
-void NetworkModel::set_timeline(obs::Timeline* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    tl_backlog_ = timeline_->series("noc.inject_backlog_us",
-                                    obs::Timeline::Kind::kGauge);
-    tl_node_backlog_.assign(static_cast<std::size_t>(torus_.num_nodes()),
-                            obs::Timeline::kNone - 1);
-    tl_link_wait_.assign(static_cast<std::size_t>(torus_.num_links()),
-                         obs::Timeline::kNone - 1);
-  } else {
-    tl_backlog_ = obs::Timeline::kNone;
-    tl_node_backlog_.clear();
-    tl_link_wait_.clear();
-  }
-}
+NetworkModel::NetworkModel(const topo::Torus5D& torus, const BgqParameters& params,
+                           const obs::Sinks& sinks)
+    : torus_(torus),
+      params_(params),
+      link_usage_(sinks.links),
+      timeline_(sinks.timeline),
+      critpath_(sinks.critpath),
+      tl_backlog_(timeline_->series("noc.inject_backlog_us", obs::Timeline::Kind::kGauge)),
+      tl_node_backlog_(*timeline_, static_cast<std::size_t>(torus.num_nodes())),
+      tl_link_wait_(*timeline_, static_cast<std::size_t>(torus.num_links())) {}
 
 std::uint32_t NetworkModel::link_wait_series(int link_index) {
-  auto& id = tl_link_wait_[static_cast<std::size_t>(link_index)];
-  if (id == obs::Timeline::kNone - 1) {
-    // Same name format as LinkUsage::link_name, prefixed.
-    constexpr char kDimNames[topo::kDims + 1] = "ABCDE";
-    const int node = link_index / (topo::kDims * 2);
-    const int rest = link_index % (topo::kDims * 2);
-    std::ostringstream os;
-    os << "noc.link_wait_us.n" << node << ' ' << kDimNames[rest / 2]
-       << ((rest % 2) ? '-' : '+');
-    id = timeline_->series(os.str(), obs::Timeline::Kind::kGauge);
-  }
-  return id;
+  return tl_link_wait_.get(
+      *timeline_, static_cast<std::size_t>(link_index), obs::Timeline::Kind::kGauge, [&] {
+        // Same name format as LinkUsage::link_name, prefixed.
+        constexpr char kDimNames[topo::kDims + 1] = "ABCDE";
+        const int rest = link_index % (topo::kDims * 2);
+        std::ostringstream os;
+        os << "noc.link_wait_us.n" << link_index / (topo::kDims * 2) << ' '
+           << kDimNames[rest / 2] << ((rest % 2) ? '-' : '+');
+        return os.str();
+      });
 }
 
 Time NetworkModel::serialization(std::uint64_t bytes, TransferOptions opts) const {
@@ -63,19 +55,15 @@ Time NetworkModel::claim_injection(int src_node, Time start, Time serialization_
   // leg, timed at initiation) reserve the NIC in *call* order, an
   // approximation documented in DESIGN.md.
   const Time begin = std::max(start, free_at);
-  if (timeline_ != nullptr) {
-    // Injection-queue depth: how far the NIC's busy horizon is ahead
-    // of this message's requested start.
-    const double backlog_us = to_us(std::max<Time>(0, free_at - start));
-    timeline_->sample(tl_backlog_, start, backlog_us);
-    auto& id = tl_node_backlog_[static_cast<std::size_t>(src_node)];
-    if (id == obs::Timeline::kNone - 1) {
-      id = timeline_->series("noc.inject_backlog_us.n" +
-                                 std::to_string(src_node),
-                             obs::Timeline::Kind::kGauge);
-    }
-    timeline_->sample(id, start, backlog_us);
-  }
+  // Injection-queue depth: how far the NIC's busy horizon is ahead of
+  // this message's requested start.
+  const double backlog_us = to_us(std::max<Time>(0, free_at - start));
+  timeline_->sample(tl_backlog_, start, backlog_us);
+  timeline_->sample(
+      tl_node_backlog_.get(*timeline_, static_cast<std::size_t>(src_node),
+                           obs::Timeline::Kind::kGauge,
+                           [&] { return "noc.inject_backlog_us.n" + std::to_string(src_node); }),
+      start, backlog_us);
   free_at = begin + serialization_time;
   return begin;
 }
@@ -249,9 +237,7 @@ Transfer LinkContentionModel::transfer(int src_node, int dst_node,
     const Time waited = free_at > head ? free_at - head : 0;
     if (waited > 0) {
       if (link_usage_ != nullptr) link_usage_->record_wait(link, head, waited);
-      if (timeline_ != nullptr) {
-        timeline_->sample(link_wait_series(link_idx), head, to_us(waited));
-      }
+      timeline_->sample(link_wait_series(link_idx), head, to_us(waited));
     }
     // The bottleneck is the link the head queued longest behind (ties
     // to the earliest hop); a clean pass leaves the first hop.
@@ -291,9 +277,12 @@ Transfer LinkContentionModel::transfer(int src_node, int dst_node,
 
 std::unique_ptr<NetworkModel> make_network_model(const std::string& name,
                                                  const topo::Torus5D& torus,
-                                                 const BgqParameters& params) {
-  if (name == "loggp") return std::make_unique<LogGPModel>(torus, params);
-  if (name == "contention") return std::make_unique<LinkContentionModel>(torus, params);
+                                                 const BgqParameters& params,
+                                                 const obs::Sinks& sinks) {
+  if (name == "loggp") return std::make_unique<LogGPModel>(torus, params, sinks);
+  if (name == "contention") {
+    return std::make_unique<LinkContentionModel>(torus, params, sinks);
+  }
   PGASQ_CHECK(false, << "unknown network model '" << name
                      << "' (expected 'loggp' or 'contention')");
   return nullptr;

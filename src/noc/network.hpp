@@ -24,13 +24,9 @@
 #include "flow/flow.hpp"
 #include "noc/parameters.hpp"
 #include "obs/link_usage.hpp"
+#include "obs/sinks.hpp"
 #include "topo/torus.hpp"
 #include "util/time_types.hpp"
-
-namespace pgasq::obs {
-class CritPath;
-class Timeline;
-}  // namespace pgasq::obs
 
 namespace pgasq::noc {
 
@@ -83,8 +79,23 @@ inline constexpr std::uint64_t kProtectedPrefix = 48;
 
 class NetworkModel {
  public:
-  NetworkModel(const topo::Torus5D& torus, const BgqParameters& params)
-      : torus_(torus), params_(params) {}
+  /// The models feed three sinks, each pure observation that never
+  /// feeds back into timing, so observed and unobserved runs are
+  /// virtual-time identical:
+  ///  * link usage (per-link byte accounting, behind a null check). Its
+  ///    injected_bytes() counts each *wire* transfer once (intra-node
+  ///    shared-memory copies and dead-source packets traverse no torus
+  ///    link and are excluded, unlike bytes_sent() which counts every
+  ///    transfer() call);
+  ///  * the timeline: per-source-node injection backlog plus, in the
+  ///    contention model, per-link queue-wait series;
+  ///  * critical-path attribution. The models never call into it — a
+  ///    non-null pointer just makes them compute the route when timing
+  ///    alone would not need it and stamp the Transfer diagnostics
+  ///    (bottleneck_link, route_capacity); the pami layer records the
+  ///    legs.
+  NetworkModel(const topo::Torus5D& torus, const BgqParameters& params,
+               const obs::Sinks& sinks = {});
   virtual ~NetworkModel() = default;
 
   NetworkModel(const NetworkModel&) = delete;
@@ -109,16 +120,6 @@ class NetworkModel {
   void set_injector(fault::Injector* injector) { injector_ = injector; }
   fault::Injector* injector() const { return injector_; }
 
-  /// Attaches (or detaches, with nullptr) per-link byte accounting.
-  /// Not owned. Pure observation behind a null check: recording never
-  /// feeds back into timing, so traced and untraced runs are
-  /// virtual-time identical. injected_bytes() counts each *wire*
-  /// transfer once (intra-node shared-memory copies and dead-source
-  /// packets traverse no torus link and are excluded, unlike
-  /// bytes_sent() which counts every transfer() call).
-  void set_link_usage(obs::LinkUsage* usage) { link_usage_ = usage; }
-  obs::LinkUsage* link_usage() const { return link_usage_; }
-
   /// Attaches (or detaches, with nullptr) the overload controller's
   /// per-(src,dst) credit ledger. Not owned. With no controller the
   /// credit hook is a single null check and timings are bit-identical
@@ -127,21 +128,6 @@ class NetworkModel {
   /// that releases credits, so gating them could deadlock).
   void set_flow(flow::Controller* fc) { flow_ = fc; }
   flow::Controller* flow() const { return flow_; }
-
-  /// Attaches (or detaches, with nullptr) continuous telemetry
-  /// (obs.timeline): per-source-node injection backlog plus, in the
-  /// contention model, per-link queue-wait series. Pure observation
-  /// behind a null check, like set_link_usage.
-  void set_timeline(obs::Timeline* timeline);
-  obs::Timeline* timeline() const { return timeline_; }
-
-  /// Attaches (or detaches, with nullptr) critical-path attribution.
-  /// The models never call into it — a non-null pointer just makes
-  /// them compute the route when timing alone would not need it and
-  /// stamp the Transfer diagnostics (bottleneck_link, route_capacity);
-  /// the pami layer records the legs.
-  void set_critpath(obs::CritPath* cp) { critpath_ = cp; }
-  obs::CritPath* critpath() const { return critpath_; }
 
   /// Total messages / bytes injected (diagnostics & tests).
   std::uint64_t messages_sent() const { return messages_; }
@@ -186,10 +172,10 @@ class NetworkModel {
   const topo::Torus5D& torus_;
   BgqParameters params_;
   fault::Injector* injector_ = nullptr;
-  obs::LinkUsage* link_usage_ = nullptr;
+  obs::LinkUsage* link_usage_;
   flow::Controller* flow_ = nullptr;
-  obs::Timeline* timeline_ = nullptr;
-  obs::CritPath* critpath_ = nullptr;
+  obs::Timeline* timeline_;
+  obs::CritPath* critpath_;
 
   /// Timeline gauge for a link's queue wait, registered on first
   /// touch (contention model only).
@@ -213,9 +199,9 @@ class NetworkModel {
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::vector<Time> nic_free_;
-  std::uint32_t tl_backlog_ = 0xffffffffu;  // obs::Timeline::kNone
-  std::vector<std::uint32_t> tl_node_backlog_;
-  std::vector<std::uint32_t> tl_link_wait_;
+  std::uint32_t tl_backlog_;
+  obs::KeyedSeries tl_node_backlog_;
+  obs::KeyedSeries tl_link_wait_;
 };
 
 /// Stateless LogGP + hop-count model.
@@ -231,8 +217,9 @@ class LogGPModel final : public NetworkModel {
 /// hop_latency per link and additionally waits for busy links.
 class LinkContentionModel final : public NetworkModel {
  public:
-  LinkContentionModel(const topo::Torus5D& torus, const BgqParameters& params)
-      : NetworkModel(torus, params),
+  LinkContentionModel(const topo::Torus5D& torus, const BgqParameters& params,
+                      const obs::Sinks& sinks = {})
+      : NetworkModel(torus, params, sinks),
         link_free_(static_cast<std::size_t>(torus.num_links()), 0) {}
 
   Transfer transfer(int src_node, int dst_node, std::uint64_t bytes, Time start,
@@ -248,6 +235,7 @@ class LinkContentionModel final : public NetworkModel {
 /// Factory keyed by name ("loggp" | "contention").
 std::unique_ptr<NetworkModel> make_network_model(const std::string& name,
                                                  const topo::Torus5D& torus,
-                                                 const BgqParameters& params);
+                                                 const BgqParameters& params,
+                                                 const obs::Sinks& sinks = {});
 
 }  // namespace pgasq::noc

@@ -19,8 +19,10 @@ Options Options::from_config(const Config& cfg, Options defaults) {
   opt.timeline = cfg.get_bool("obs.timeline", opt.timeline);
   opt.timeline_bucket = from_us(
       cfg.get_double("obs.timeline_bucket_us", to_us(opt.timeline_bucket)));
-  opt.timeline_max_series = static_cast<int>(
-      cfg.get_int("obs.timeline_max_series", opt.timeline_max_series));
+  const std::int64_t max_series =
+      cfg.get_int("obs.timeline_max_series", opt.timeline_max_series);
+  PGASQ_CHECK(max_series > 0, << "obs.timeline_max_series must be positive");
+  opt.timeline_max_series = static_cast<int>(max_series);
   opt.timeline_top =
       static_cast<int>(cfg.get_int("obs.timeline_top", opt.timeline_top));
   opt.critpath = cfg.get_bool("obs.critpath", opt.critpath);

@@ -34,7 +34,13 @@ Timeline::Timeline(Time bucket_width, std::size_t max_series)
   PGASQ_CHECK(max_series_ > 0, << "timeline series cap must be positive");
 }
 
+Timeline& Timeline::disabled() {
+  static Timeline off;
+  return off;
+}
+
 Timeline::SeriesId Timeline::series(const std::string& name, Kind kind) {
+  if (!enabled()) return kNone;
   auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   if (series_.size() >= max_series_) {

@@ -1,10 +1,10 @@
 // Continuous time-series telemetry: virtual-time-bucketed samplers
-// that subsystems feed through nullptr-guarded hooks (obs.timeline).
-// Where LinkUsage answers "how hot was each wire", the Timeline
-// answers "what did each queue/window/backlog look like as a function
-// of virtual time" — the signal needed to see dynamic pathologies
-// (metastable queue runaway, AIMD oscillation, brownout backlogs)
-// that end-of-run aggregates average away.
+// that subsystems feed (obs.timeline). Where LinkUsage answers "how hot
+// was each wire", the Timeline answers "what did each
+// queue/window/backlog look like as a function of virtual time" — the
+// signal needed to see dynamic pathologies (metastable queue runaway,
+// AIMD oscillation, brownout backlogs) that end-of-run aggregates
+// average away.
 //
 // Two series kinds:
 //   gauge   — sample(id, at, value): per-bucket count/sum/min/max,
@@ -15,11 +15,13 @@
 //             retransmits, fiber switches).
 //
 // Pure observation: recording never changes timing, so timeline-on
-// and timeline-off runs are virtual-time identical, and with the
-// feature off every hook is a single pointer compare (byte-identical
-// output, like fault::Injector). Exports: a versioned pgasq.timeline
-// v1 JSON section, a CSV (obs.timeline_csv), and a text sparkline
-// block for the report.
+// and timeline-off runs are virtual-time identical. A timeline always
+// exists (see obs/sinks.hpp); with obs.timeline off it is disabled:
+// series() registers nothing and returns kNone, so every sample() and
+// count() is a no-op and feeders need no guard. Output stays
+// byte-identical, like fault::Injector. Exports: a versioned
+// pgasq.timeline v1 JSON section, a CSV (obs.timeline_csv), and a text
+// sparkline block for the report.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +37,9 @@ namespace pgasq::obs {
 class Timeline {
  public:
   using SeriesId = std::uint32_t;
-  /// Sentinel: sampling into it is a no-op. Returned by series() once
-  /// the series cap is hit, so callers never need their own guard.
+  /// Sentinel: sampling into it is a no-op. Returned by series() while
+  /// disabled or once the series cap is hit, so callers never need
+  /// their own guard.
   static constexpr SeriesId kNone = 0xffffffffu;
 
   enum class Kind { kGauge, kCounter };
@@ -45,12 +48,24 @@ class Timeline {
   static constexpr int kSchemaVersion = 1;
 
   Timeline(Time bucket_width, std::size_t max_series);
+  /// A disabled timeline: it registers no series.
+  Timeline() = default;
+  /// The disabled timeline shared by feeders built without sinks (a
+  /// bare sim::Engine or network model in a unit test).
+  static Timeline& disabled();
+
+  bool enabled() const { return max_series_ > 0; }
 
   /// Finds or creates the series `name`. Registration order is
   /// deterministic (virtual-time order of first touch); exports sort
   /// by name so reports do not depend on it. Past `max_series` this
-  /// warns once, sets truncated(), and returns kNone.
+  /// warns once, sets truncated(), and returns kNone. Disabled: kNone.
   SeriesId series(const std::string& name, Kind kind);
+  /// Same for a literal name, which is turned into a string only while
+  /// enabled: a disabled timeline costs no allocation.
+  SeriesId series(const char* name, Kind kind) {
+    return enabled() ? series(std::string(name), kind) : kNone;
+  }
 
   /// Gauge sample at virtual time `at`. No-op for kNone.
   void sample(SeriesId id, Time at, double value) {
@@ -123,11 +138,36 @@ class Timeline {
   /// Series indices sorted by name (deterministic export order).
   std::vector<SeriesId> sorted_ids() const;
 
-  Time bucket_;
-  std::size_t max_series_;
+  Time bucket_ = 0;
+  std::size_t max_series_ = 0;  // 0: disabled
   bool truncated_ = false;
   std::vector<Series> series_;
   std::map<std::string, SeriesId> index_;
+};
+
+/// One series per key (a node, a link, a shard), each registered on
+/// first touch so that only keys that see activity get one. It holds
+/// nothing, and never builds a name, while the timeline is disabled.
+class KeyedSeries {
+ public:
+  KeyedSeries() = default;
+  KeyedSeries(const Timeline& timeline, std::size_t keys)
+      : ids_(timeline.enabled() ? keys : 0, kUnregistered) {}
+
+  /// The series of `key` in `timeline` (the one this was sized for);
+  /// `name()` builds its name at the first touch.
+  template <class Name>
+  Timeline::SeriesId get(Timeline& timeline, std::size_t key, Timeline::Kind kind,
+                         const Name& name) {
+    if (ids_.empty()) return Timeline::kNone;
+    Timeline::SeriesId& id = ids_[key];
+    if (id == kUnregistered) id = timeline.series(name(), kind);
+    return id;
+  }
+
+ private:
+  static constexpr Timeline::SeriesId kUnregistered = Timeline::kNone - 1;
+  std::vector<Timeline::SeriesId> ids_;
 };
 
 }  // namespace pgasq::obs

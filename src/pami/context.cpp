@@ -34,17 +34,23 @@ Context::Context(Process& process, int index)
 
 Machine& Context::machine() { return process_.machine(); }
 
-sim::TraceRecorder* Context::trace() { return machine().trace(); }
-
 void Context::flow(char phase, RankId rank, const char* name, std::uint64_t id,
                    Time at, std::uint64_t bytes, int peer) {
-  sim::TraceRecorder* tr = trace();
+  sim::TraceRecorder* tr = machine().sinks().trace;
   if (tr == nullptr || id == 0) return;
   sim::TraceArgs args;
   if (bytes > 0) args.emplace_back("bytes", std::to_string(bytes));
   if (peer >= 0) args.emplace_back("peer", "rank" + std::to_string(peer));
   tr->flow_point(phase, machine().rank_track(rank), name, id, at,
                  std::move(args));
+}
+
+std::uint64_t Context::start_flow(const char* name, std::uint64_t bytes, RankId peer) {
+  sim::TraceRecorder* tr = machine().sinks().trace;
+  if (tr == nullptr) return 0;
+  const std::uint64_t id = tr->next_flow_id();
+  flow('s', process_.rank(), name, id, now(), bytes, peer);
+  return id;
 }
 
 noc::Transfer Context::wire_transfer(int src_node, int dst_node, std::uint64_t bytes,
@@ -54,7 +60,7 @@ noc::Transfer Context::wire_transfer(int src_node, int dst_node, std::uint64_t b
   // Critical-path attribution measures the leg from the moment the
   // sender asked for the wire — before CRC, credit and NIC waits.
   const Time requested = at;
-  obs::CritPath* const cp = machine().critpath();
+  obs::CritPath* const cp = machine().sinks().critpath;
   ft::HealthMonitor* mon = machine().monitor();
   if (mon != nullptr) {
     // Quarantine: an op against a declared-dead endpoint fails fast
@@ -156,9 +162,7 @@ noc::Transfer Context::wire_transfer(int src_node, int dst_node, std::uint64_t b
     }
     ++stats_.retransmits;
     ++spent;
-    if (obs::Timeline* tl = machine().timeline(); tl != nullptr) {
-      tl->count(machine().timeline_ids().retransmits, resend_at);
-    }
+    machine().sinks().timeline->count(machine().timeline_ids().retransmits, resend_at);
     if (++retries_used_ > plan.retry_budget) {
       std::ostringstream os;
       os << (from_corruption ? "integrity" : "fault") << ": retry budget ("
@@ -296,10 +300,8 @@ void Context::advance_until(const std::function<bool()>& pred) {
 void Context::post(Item item) {
   item.posted_at = now();
   items_.push_back(std::move(item));
-  if (obs::Timeline* tl = machine().timeline(); tl != nullptr) {
-    tl->sample(machine().timeline_ids().pending_ops, item.posted_at,
-               static_cast<double>(items_.size()));
-  }
+  machine().sinks().timeline->sample(machine().timeline_ids().pending_ops, item.posted_at,
+                                     static_cast<double>(items_.size()));
   arrivals_->notify_all();
 }
 
@@ -493,11 +495,7 @@ void Context::rput(const MemoryRegion& local_mr, std::uint64_t loff,
   const auto t = wire_transfer(src_node, dst_node, bytes, now(),
                                noc::TransferOptions{.payload_bytes = bytes},
                                "rput data");
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rput", fid, now(), bytes, remote_mr.owner);
-  }
+  const std::uint64_t fid = start_flow("rput", bytes, remote_mr.owner);
   // The NIC reads the source buffer during serialization; stage a copy
   // now so the caller may reuse the buffer after local completion.
   std::vector<std::byte> staged(bytes);
@@ -536,14 +534,11 @@ void Context::rget(const MemoryRegion& local_mr, std::uint64_t loff,
   const auto data =
       wire_transfer(dst_node, src_node, bytes, req.arrive,
                     noc::TransferOptions{.payload_bytes = bytes}, "rget data");
-  if (trace() != nullptr) {
-    // Every leg is timed at initiation, so the whole arrow chain can
-    // be emitted here: request out, remote NIC serves, data back.
-    const std::uint64_t fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rget", fid, now(), bytes, remote_mr.owner);
-    flow('t', remote_mr.owner, "rget serve", fid, req.arrive);
-    flow('f', process_.rank(), "rget data", fid, data.arrive, bytes);
-  }
+  // Every leg is timed at initiation, so the whole arrow chain can be
+  // emitted here: request out, remote NIC serves, data back.
+  const std::uint64_t fid = start_flow("rget", bytes, remote_mr.owner);
+  flow('t', remote_mr.owner, "rget serve", fid, req.arrive);
+  flow('f', process_.rank(), "rget data", fid, data.arrive, bytes);
   const std::byte* src = remote_mr.base + roff;
   std::byte* dst = local_mr.base + loff;
   auto staged = std::make_shared<std::vector<std::byte>>();
@@ -580,11 +575,7 @@ void Context::rput_typed(const MemoryRegion& local_mr, const MemoryRegion& remot
       static_cast<std::uint64_t>(static_cast<double>(total) * p.typed_wire_factor);
   const auto t = wire_transfer(src_node, dst_node, wire_bytes, now(),
                                noc::TransferOptions{.payload_bytes = total}, what);
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rput typed", fid, now(), total, remote_mr.owner);
-  }
+  const std::uint64_t fid = start_flow("rput typed", total, remote_mr.owner);
   auto staged = std::make_shared<std::vector<std::byte>>(total);
   std::uint64_t off = 0;
   for (const auto& c : chunks) {
@@ -633,12 +624,9 @@ void Context::rget_typed(const MemoryRegion& local_mr, const MemoryRegion& remot
   const auto data =
       wire_transfer(dst_node, src_node, wire_bytes, req.arrive,
                     noc::TransferOptions{.payload_bytes = total}, what);
-  if (trace() != nullptr) {
-    const std::uint64_t fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rget typed", fid, now(), total, remote_mr.owner);
-    flow('t', remote_mr.owner, "rget typed serve", fid, req.arrive);
-    flow('f', process_.rank(), "rget typed data", fid, data.arrive, total);
-  }
+  const std::uint64_t fid = start_flow("rget typed", total, remote_mr.owner);
+  flow('t', remote_mr.owner, "rget typed serve", fid, req.arrive);
+  flow('f', process_.rank(), "rget typed data", fid, data.arrive, total);
   auto staged = std::make_shared<std::vector<std::byte>>(total);
   const std::byte* rbase = remote_mr.base;
   machine().engine().schedule_at(req.arrive, [staged, rbase, chunks] {
@@ -687,11 +675,7 @@ void Context::send(Endpoint dest, DispatchId dispatch, std::vector<std::byte> he
   msg.sent_at = now();
   msg.arrived_at = t.arrive;
   msg.deadline = deadline;
-  if (trace() != nullptr) {
-    msg.flow_id = trace()->next_flow_id();
-    flow('s', process_.rank(), "am send", msg.flow_id, now(), wire_bytes,
-         dest.rank);
-  }
+  msg.flow_id = start_flow("am send", wire_bytes, dest.rank);
   Context& dest_ctx = machine().process(dest.rank).context(dest.context);
   machine().engine().schedule_at(
       t.arrive, [&dest_ctx, dispatch, msg = std::move(msg)]() mutable {
@@ -712,11 +696,7 @@ void Context::put(Endpoint dest, const std::byte* local, std::byte* remote,
   const auto t = wire_transfer(src_node, dst_node, p.control_packet_bytes + bytes,
                                now(), noc::TransferOptions{.payload_bytes = bytes},
                                "put data");
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "put", fid, now(), bytes, dest.rank);
-  }
+  const std::uint64_t fid = start_flow("put", bytes, dest.rank);
   Item item;
   item.kind = Item::Kind::kPutData;
   item.deposit_to = remote;
@@ -755,11 +735,7 @@ void Context::get(Endpoint dest, std::byte* local, const std::byte* remote,
   const int src_node = process_.node();
   const int dst_node = machine().mapping().node_of_rank(dest.rank);
   const auto req = wire_control(src_node, dst_node, now(), "get request");
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "get", fid, now(), bytes, dest.rank);
-  }
+  const std::uint64_t fid = start_flow("get", bytes, dest.rank);
   Item item;
   item.kind = Item::Kind::kGetRequest;
   item.requester_buffer = local;
@@ -785,12 +761,7 @@ void Context::rmw(Endpoint dest, std::int64_t* remote_word, RmwOp op,
   const int src_node = process_.node();
   const int dst_node = machine().mapping().node_of_rank(dest.rank);
   const auto req = wire_control(src_node, dst_node, now(), "rmw request");
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rmw", fid, now(), sizeof(std::int64_t),
-         dest.rank);
-  }
+  const std::uint64_t fid = start_flow("rmw", sizeof(std::int64_t), dest.rank);
 
   if (p.hardware_amo) {
     // Gemini/InfiniBand-style NIC AMO: the target NIC applies the

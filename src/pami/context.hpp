@@ -256,13 +256,14 @@ class Context {
   void process_item(Item& item);
   void post(Item item);
   Machine& machine();
-  /// Active trace recorder, or nullptr when tracing is off.
-  sim::TraceRecorder* trace();
   /// Emits one causal-flow endpoint ('s'/'t'/'f' of flow `id`) on
   /// `rank`'s net track. No-op when tracing is off or `id` is 0, so
   /// service paths can call it unconditionally.
   void flow(char phase, RankId rank, const char* name, std::uint64_t id,
             Time at, std::uint64_t bytes = 0, int peer = -1);
+  /// Starts flow `name` toward `peer`: emits its 's' point on this
+  /// rank at now() and returns its id, or 0 when tracing is off.
+  std::uint64_t start_flow(const char* name, std::uint64_t bytes, RankId peer);
   /// Charges busy time on the calling fiber.
   void busy(Time t);
   Time now() const;

@@ -21,12 +21,26 @@ Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
       torus_(pick_dims(config_)),
       mapping_(torus_, config_.ranks_per_node),
+      trace_(config_.trace_json_path.empty()
+                 ? nullptr
+                 : std::make_unique<sim::TraceRecorder>(config_.trace_max_events)),
+      link_usage_(config_.obs.links ? std::make_unique<obs::LinkUsage>(
+                                          torus_, config_.obs.link_bucket)
+                                    : nullptr),
+      timeline_(config_.obs.timeline
+                    ? obs::Timeline(config_.obs.timeline_bucket,
+                                    static_cast<std::size_t>(config_.obs.timeline_max_series))
+                    : obs::Timeline()),
+      critpath_(config_.obs.critpath
+                    ? std::make_unique<obs::CritPath>(config_.obs.critpath_top)
+                    : nullptr),
+      sinks_{trace_.get(), &timeline_, link_usage_.get(), critpath_.get()},
+      engine_(sinks_),
+      network_(noc::make_network_model(config_.network_model, torus_, config_.params,
+                                       sinks_)),
       rng_(config_.seed) {
-  network_ = noc::make_network_model(config_.network_model, torus_, config_.params);
-  if (!config_.trace_json_path.empty()) {
-    trace_ = std::make_unique<sim::TraceRecorder>(config_.trace_max_events);
+  if (trace_ != nullptr) {
     trace_->set_aggregate(config_.trace_aggregate);
-    engine_.set_trace(trace_.get());
     if (config_.trace_sample_ranks > 0 &&
         config_.trace_sample_ranks < config_.num_ranks) {
       PGASQ_LOG(kWarn) << "trace.sample_ranks=" << config_.trace_sample_ranks
@@ -58,32 +72,14 @@ Machine::Machine(MachineConfig config)
           trace_->register_track("net@rank" + std::to_string(r), !rank_traced(r)));
     }
   }
-  if (config_.obs.links) {
-    link_usage_ = std::make_unique<obs::LinkUsage>(torus_, config_.obs.link_bucket);
-    network_->set_link_usage(link_usage_.get());
-  }
-  if (config_.obs.timeline) {
-    timeline_ = std::make_unique<obs::Timeline>(
-        config_.obs.timeline_bucket,
-        static_cast<std::size_t>(config_.obs.timeline_max_series));
-    engine_.set_timeline(timeline_.get());
-    network_->set_timeline(timeline_.get());
-    timeline_ids_.pending_ops =
-        timeline_->series("pami.pending_ops", obs::Timeline::Kind::kGauge);
-    timeline_ids_.retransmits =
-        timeline_->series("pami.retransmits", obs::Timeline::Kind::kCounter);
-  }
-  if (config_.obs.critpath) {
-    critpath_ = std::make_unique<obs::CritPath>(config_.obs.critpath_top);
-    network_->set_critpath(critpath_.get());
-  }
+  timeline_ids_.pending_ops = timeline_.series("pami.pending_ops", obs::Timeline::Kind::kGauge);
+  timeline_ids_.retransmits =
+      timeline_.series("pami.retransmits", obs::Timeline::Kind::kCounter);
   if (config_.fault.enabled()) {
-    injector_ = std::make_unique<fault::Injector>(config_.fault, torus_);
-    injector_->set_trace(trace_.get());
+    injector_ = std::make_unique<fault::Injector>(config_.fault, torus_, sinks_);
     network_->set_injector(injector_.get());
     if (injector_->has_node_fails()) {
-      monitor_ = std::make_unique<ft::HealthMonitor>(config_.ft, *injector_, mapping_);
-      monitor_->set_timeline(timeline_.get());
+      monitor_ = std::make_unique<ft::HealthMonitor>(config_.ft, *injector_, mapping_, sinks_);
     }
   }
   // Integrity auto-enables under a corruption plan: a flipped payload
@@ -93,9 +89,7 @@ Machine::Machine(MachineConfig config)
     integrity_ = std::make_unique<fault::Integrity>(config_.integrity);
   }
   if (config_.flow.enabled()) {
-    flow_ = std::make_unique<flow::Controller>(config_.flow, torus_.num_nodes());
-    flow_->set_trace(trace_.get());
-    flow_->set_timeline(timeline_.get());
+    flow_ = std::make_unique<flow::Controller>(config_.flow, torus_.num_nodes(), sinks_);
     network_->set_flow(flow_.get());
   }
   processes_.reserve(static_cast<std::size_t>(config_.num_ranks));

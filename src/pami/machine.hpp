@@ -17,7 +17,7 @@
 #include "noc/parameters.hpp"
 #include "obs/critpath.hpp"
 #include "obs/link_usage.hpp"
-#include "obs/timeline.hpp"
+#include "obs/sinks.hpp"
 #include "pami/process.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
@@ -123,12 +123,18 @@ class Machine {
   const flow::Controller* flow() const { return flow_.get(); }
   /// Continuous time-series telemetry, or nullptr when obs.timeline is
   /// off.
-  obs::Timeline* timeline() { return timeline_.get(); }
-  const obs::Timeline* timeline() const { return timeline_.get(); }
+  obs::Timeline* timeline() { return timeline_.enabled() ? &timeline_ : nullptr; }
+  const obs::Timeline* timeline() const {
+    return timeline_.enabled() ? &timeline_ : nullptr;
+  }
   const PamiTimelineIds& timeline_ids() const { return timeline_ids_; }
   /// Critical-path attribution, or nullptr when obs.critpath is off.
   obs::CritPath* critpath() { return critpath_.get(); }
   const obs::CritPath* critpath() const { return critpath_.get(); }
+  /// Every sink of this run, as handed to the feeders built here;
+  /// feeders built later (pami contexts, collectives, kvs, async) read
+  /// them from this.
+  const obs::Sinks& sinks() const { return sinks_; }
   /// Trace track carrying rank `r`'s network flow endpoints
   /// ("net@rank<r>"); only valid while tracing.
   std::uint32_t rank_track(RankId rank) const;
@@ -158,15 +164,17 @@ class Machine {
   static topo::Coord5 pick_dims(const MachineConfig& config);
 
   MachineConfig config_;
+  topo::Torus5D torus_;
+  topo::RankMapping mapping_;
+  // The sinks, built before every subsystem that feeds them.
   std::unique_ptr<sim::TraceRecorder> trace_;
   std::vector<std::uint32_t> net_tracks_;  // per-rank flow tracks
   std::unique_ptr<obs::LinkUsage> link_usage_;
-  std::unique_ptr<obs::Timeline> timeline_;
+  obs::Timeline timeline_;  // disabled when obs.timeline is off
   std::unique_ptr<obs::CritPath> critpath_;
+  obs::Sinks sinks_;
   PamiTimelineIds timeline_ids_;
   sim::Engine engine_;
-  topo::Torus5D torus_;
-  topo::RankMapping mapping_;
   std::unique_ptr<noc::NetworkModel> network_;
   std::unique_ptr<fault::Injector> injector_;
   std::unique_ptr<ft::HealthMonitor> monitor_;

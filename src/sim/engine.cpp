@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/timeline.hpp"
 #include "sim/trace.hpp"
 
 #if PGASQ_ASAN_FIBERS
@@ -53,7 +52,13 @@ void Engine::asan_finish_switch(Fiber* to) {
 #endif
 }
 
-Engine::Engine() = default;
+Engine::Engine(const obs::Sinks& sinks)
+    : trace_(sinks.trace),
+      timeline_(sinks.timeline),
+      tl_queue_depth_(timeline_->series("sim.event_queue_depth",
+                                        obs::Timeline::Kind::kGauge)),
+      tl_fiber_switches_(timeline_->series("sim.fiber_switches",
+                                           obs::Timeline::Kind::kCounter)) {}
 
 Engine::~Engine() {
   // Drain the heap; Event objects are heap-allocated.
@@ -145,10 +150,7 @@ Fiber* Engine::dispatch(Fiber* ended) {
         PGASQ_CHECK(ev->time >= now_);
         now_ = ev->time;
         ++events_processed_;
-        if (timeline_ != nullptr) {
-          timeline_->sample(tl_queue_depth_, now_,
-                            static_cast<double>(queue_.size()));
-        }
+        timeline_->sample(tl_queue_depth_, now_, static_cast<double>(queue_.size()));
         ev->fn();
         if (Fiber* fiber = std::exchange(woken_, nullptr)) {
           // Callbacks may have run on `ended`'s stack too.
@@ -212,7 +214,7 @@ int Engine::replay_idle_loop(Time first, Time second,
 }
 
 void Engine::idle_wake(IdleReplay& r) {
-  if (trace_ == nullptr && timeline_ == nullptr && (*r.idle)(r.phase)) {
+  if (trace_ == nullptr && !timeline_->enabled() && (*r.idle)(r.phase)) {
     const Time next = r.phase == 0 ? r.second : r.first;
     r.phase ^= 1;
     schedule_after(next, [this, rp = &r] { idle_wake(*rp); });
@@ -228,16 +230,6 @@ void Engine::resume(Fiber& fiber, Time delay) {
               << static_cast<int>(fiber.state()));
   fiber.state_ = Fiber::State::kReady;
   schedule_after(delay, [this, f = &fiber] { woken_ = f; });
-}
-
-void Engine::set_timeline(obs::Timeline* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    tl_queue_depth_ = timeline_->series("sim.event_queue_depth",
-                                        obs::Timeline::Kind::kGauge);
-    tl_fiber_switches_ = timeline_->series("sim.fiber_switches",
-                                           obs::Timeline::Kind::kCounter);
-  }
 }
 
 void Engine::set_pending_exception(std::exception_ptr e) {
@@ -267,7 +259,7 @@ void Engine::switch_in(Fiber& fiber) {
   fiber.state_ = Fiber::State::kRunning;
   current_ = &fiber;
   ++fiber_switches_;
-  if (timeline_ != nullptr) timeline_->count(tl_fiber_switches_, now_);
+  timeline_->count(tl_fiber_switches_, now_);
   if (trace_ != nullptr && fiber.trace_track_ != 0xffffffffu) {
     trace_->begin_slice(fiber.trace_track_, now_);
   }

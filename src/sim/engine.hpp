@@ -25,17 +25,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "sim/fiber.hpp"
 #include "util/error.hpp"
 #include "util/time_types.hpp"
 
-namespace pgasq::obs {
-class Timeline;
-}  // namespace pgasq::obs
-
 namespace pgasq::sim {
-
-class TraceRecorder;
 
 /// Identifier for a scheduled event; usable with cancel().
 using EventId = std::uint64_t;
@@ -43,7 +38,11 @@ constexpr EventId kInvalidEvent = 0;
 
 class Engine {
  public:
-  Engine();
+  /// Feeds the trace recorder (fiber slices; fibers spawned while it
+  /// is set get a track) and the timeline: the event-queue depth per
+  /// processed event ("sim.event_queue_depth") and fiber switches
+  /// ("sim.fiber_switches"). Pure observation — never changes timing.
+  explicit Engine(const obs::Sinks& sinks = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -89,7 +88,7 @@ class Engine {
   /// the fiber resumes inside that event, and this returns the phase
   /// of the wake it resumed at. `idle` runs as a plain event callback
   /// (no current fiber) and must not throw or block. While a trace
-  /// recorder or a timeline observes fiber switches, every wake
+  /// recorder or an enabled timeline observes fiber switches, every wake
   /// resumes the fiber.
   int replay_idle_loop(Time first, Time second, const std::function<bool(int)>& idle);
   /// Yields to let any same-time events run, then continues.
@@ -116,19 +115,6 @@ class Engine {
   std::uint64_t stack_switches() const { return stack_switches_; }
   /// Cancelled ids not yet popped from the queue (diagnostics).
   std::size_t cancelled_pending() const { return cancelled_.size(); }
-
-  /// Enables execution tracing (fiber slices). Must be set before the
-  /// fibers whose activity should be recorded are spawned; pass
-  /// nullptr to disable. The recorder is not owned.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-  TraceRecorder* trace() const { return trace_; }
-
-  /// Enables continuous telemetry: samples the event-queue depth per
-  /// processed event ("sim.event_queue_depth") and counts fiber
-  /// switches ("sim.fiber_switches"). Pure observation — never changes
-  /// timing. Pass nullptr to disable; the timeline is not owned.
-  void set_timeline(obs::Timeline* timeline);
-  obs::Timeline* timeline() const { return timeline_; }
 
   /// Fibers spawned after this whose name matches `pred` get a muted
   /// trace track (their slices are dropped at record time). Used by
@@ -207,10 +193,10 @@ class Engine {
   std::uint64_t fiber_switches_ = 0;
   std::uint64_t stack_switches_ = 0;
   std::uint64_t next_fiber_id_ = 1;
-  TraceRecorder* trace_ = nullptr;
-  obs::Timeline* timeline_ = nullptr;
-  std::uint32_t tl_queue_depth_ = 0xffffffffu;   // obs::Timeline::kNone
-  std::uint32_t tl_fiber_switches_ = 0xffffffffu;
+  TraceRecorder* trace_;
+  obs::Timeline* timeline_;
+  std::uint32_t tl_queue_depth_;
+  std::uint32_t tl_fiber_switches_;
   std::function<bool(const std::string&)> track_mute_;
   // ASan bookkeeping: run()'s fake stack while it is switched out, and
   // its (main thread) stack bounds, learned on arrival from it.

@@ -270,9 +270,14 @@ INSTANTIATE_TEST_SUITE_P(Counts, GopNonPow2, ::testing::Values(3, 5, 6, 12));
 // Pinned software collectives: the poll loops of recv_wait / wait_word
 // run mostly as engine-replayed idle passes, which must leave virtual
 // time and the advance counters exactly where the on-fiber loop left
-// them. The constants were recorded with every pass on the fiber.
+// them. The constants were recorded with every pass on the fiber. The
+// run is made twice: with observability off, and with a timeline, which
+// observes every fiber switch and so turns the replay off. Both must
+// give the same figures, and only the first may skip fiber switches.
 
-TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
+/// Runs the pinned alltoall, broadcast, allreduce and barrier, checks
+/// their results and figures, and returns the engine's fiber switches.
+std::uint64_t run_pinned_software_schedule(bool timeline) {
   constexpr int p = 32;
   constexpr std::size_t kA2aBytes = 4096;
   constexpr std::size_t kA2aWords = kA2aBytes / 8;
@@ -281,6 +286,7 @@ TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
                        {"algo.broadcast", "binomial"}, {"algo.barrier", "recdbl"}});
   cfg.machine.ranks_per_node = 1;
   cfg.machine.network_model = "contention";
+  cfg.machine.obs.timeline = timeline;
   armci::World world(cfg);
   world.spmd([](armci::Comm& comm) {
     auto& engine = CollEngine::of(comm);
@@ -333,6 +339,16 @@ TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
   EXPECT_EQ(world.elapsed(), Time{6007619142});
   EXPECT_EQ(advances, 43372u);
   EXPECT_EQ(empty, 40512u);
+  return world.machine().engine().fiber_switches();
+}
+
+TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
+  std::uint64_t fiber_switches[2] = {};
+  for (const bool timeline : {false, true}) {
+    SCOPED_TRACE(timeline ? "obs.timeline=1" : "obs off");
+    fiber_switches[timeline] = run_pinned_software_schedule(timeline);
+  }
+  EXPECT_LT(fiber_switches[0], fiber_switches[1]);
 }
 
 // ---------------------------------------------------------------------------

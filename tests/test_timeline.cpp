@@ -220,5 +220,15 @@ TEST(Timeline, ConfigTyposRejected) {
   EXPECT_EQ(cfg.unknown_options(), Lines{"unknown option obs.timeline_csv"});
 }
 
+TEST(Timeline, NonPositiveSeriesCapRejected) {
+  // A negative cap would otherwise wrap to an effectively unlimited
+  // size_t cap; zero and negative values are both configuration errors.
+  for (const char* cap : {"0", "-1"}) {
+    pami::MachineConfig mc;
+    const Config cfg = cfg_of({{"obs.timeline", "1"}, {"obs.timeline_max_series", cap}});
+    EXPECT_THROW(pami::configure_observability(cfg, mc), Error) << cap;
+  }
+}
+
 }  // namespace
 }  // namespace pgasq

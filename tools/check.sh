@@ -272,13 +272,17 @@ knob_gate() {
     "${repo}/${dir}/examples/quickstart" --progres=async
   expect_rejected "unknown option fault.drop_prb (did you mean fault.drop_prob?)" \
     "${repo}/${dir}/bench/bench_fig3_latency" --fault.drop_prb=0.1
+  # A program that sweeps progress modes or rank counts rejects those
+  # keys instead of reading and then overriding them.
+  expect_rejected "progress is set by the D/AT x process-count sweep of bench_fig9_rmw" \
+    "${repo}/${dir}/bench/bench_fig9_rmw" --max_ranks=8 --progress=async --ranks=999
   local ex
   for ex in quickstart dgemm_overlap scf_walkthrough halo_exchange \
             work_stealing sparse_update kv_service; do
     "${repo}/${dir}/examples/${ex}" --integrity.verify=1 --fault.seed=1 \
       >/dev/null
   done
-  echo "knob gate OK: typos rejected with hints, examples take shared knobs" >&2
+  echo "knob gate OK: typos and swept keys rejected, examples take shared knobs" >&2
 }
 
 scale_gate() {

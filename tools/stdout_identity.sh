@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Stdout-identity check: builds the named programs of git revision <rev>
 # and of the working tree, runs each from both builds, and diffs their
-# stdout. Fault-free runs are deterministic, so any difference is a
-# behaviour (or virtual-time) change.
+# stdout and the output files they wrote. Fault-free runs are
+# deterministic, so any difference is a behaviour (or virtual-time)
+# change.
 #
 # Usage: tools/stdout_identity.sh <rev> <run>...
 #   e.g. tools/stdout_identity.sh HEAD~ bench_fig3_latency bench_fig9_rmw
@@ -10,14 +11,19 @@
 #
 # Each <run> is a program name, optionally followed by its arguments in
 # the same quoted operand. The program is looked up in bench/, then in
-# examples/; a bare name runs with no arguments.
+# examples/; a bare name runs with no arguments. An argument may name
+# output files under @OUT@, e.g.
+#   'bench_abl_overload --obs.timeline=1 --obs.timeline_csv=@OUT@/tl.csv'
+# Each side's run gets its own empty directory for @OUT@, and every
+# file the two runs wrote there is diffed too.
 #
 # <rev> is exported with `git archive` into a temporary directory
 # (under $TMPDIR, removed on exit) and built there; the working tree
 # builds into build-identity/ at the repo root. Each run's verdict line
 # also gives its wall seconds from both builds, <rev> first, e.g.
 #   IDENTICAL bench_supp_alltoall 30.8 s -> 10.0 s
-# Exits 0 when every run's stdout is byte-identical, 1 otherwise.
+# Exits 0 when every run's stdout and files are byte-identical, 1
+# otherwise.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -51,15 +57,17 @@ git -C "${repo}" archive "${sha}" | tar -x -C "${tmp}"
 build "${tmp}" "${tmp}/build"
 build "${repo}" "${repo}/build-identity"
 
-# Runs the <run> operand $2 from the build in $1, stdout to $3, and
-# sets `wall` to its wall time in seconds (one decimal).
+# Runs the <run> operand $2 from the build in $1, stdout to $3.txt and
+# output files (@OUT@) under the directory $3, and sets `wall` to its
+# wall time in seconds (one decimal).
 run_one() {
   local dir="$1" out="$3" words start tenths
-  read -ra words <<< "$2"
+  read -ra words <<< "${2//@OUT@/${out}}"
+  mkdir -p "${out}"
   local exe="${dir}/bench/${words[0]}"
   [[ -x "${exe}" ]] || exe="${dir}/examples/${words[0]}"
   start="$(date +%s%N)"
-  "${exe}" "${words[@]:1}" > "${out}"
+  "${exe}" "${words[@]:1}" > "${out}.txt"
   tenths=$(( ($(date +%s%N) - start + 50000000) / 100000000 ))
   wall="$((tenths / 10)).$((tenths % 10))"
 }
@@ -68,11 +76,12 @@ same=0
 i=0
 for run in "${runs[@]}"; do
   i=$((i + 1))
-  run_one "${tmp}/build" "${run}" "${tmp}/${i}.rev.txt"
+  run_one "${tmp}/build" "${run}" "${tmp}/${i}.rev"
   rev_wall="${wall}"
-  run_one "${repo}/build-identity" "${run}" "${tmp}/${i}.tree.txt"
+  run_one "${repo}/build-identity" "${run}" "${tmp}/${i}.tree"
   if diff -u --label "${run}@${rev}" --label "${run}@tree" \
-       "${tmp}/${i}.rev.txt" "${tmp}/${i}.tree.txt" >&2; then
+       "${tmp}/${i}.rev.txt" "${tmp}/${i}.tree.txt" >&2 &&
+     diff -r "${tmp}/${i}.rev" "${tmp}/${i}.tree" >&2; then
     echo "IDENTICAL ${run} ${rev_wall} s -> ${wall} s"
     same=$((same + 1))
   else
