@@ -464,7 +464,7 @@ void Comm::start_async_thread() {
         // requests is an instant on this rank's net track, making the
         // handoff (main thread computes, async thread advances) visible
         // between the message arrows.
-        sim::TraceRecorder* tr = process_.machine().trace();
+        sim::TraceRecorder* tr = process_.machine().sinks().trace;
         if (tr != nullptr && serviced > 0) {
           tr->instant(process_.machine().rank_track(rank()), "async progress",
                       eng.now(),

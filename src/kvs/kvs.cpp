@@ -644,7 +644,7 @@ KvResult run_workload(armci::World& world, const KvConfig& cfg) {
   std::vector<std::vector<FaaRec>> faa_acked(static_cast<std::size_t>(p));
   std::vector<RecoveryEvent> events;
 
-  sim::TraceRecorder* tr = world.machine().trace();
+  sim::TraceRecorder* tr = world.machine().sinks().trace;
   std::vector<std::uint32_t> tracks;
   if (tr != nullptr) {
     for (int r = 0; r < p; ++r) {

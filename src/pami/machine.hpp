@@ -111,30 +111,24 @@ class Machine {
   /// checkpoint digests), or nullptr when the subsystem is off.
   fault::Integrity* integrity() { return integrity_.get(); }
   const fault::Integrity* integrity() const { return integrity_.get(); }
+  /// Every sink of this run, as handed to the feeders built here;
+  /// feeders built later (pami contexts, collectives, kvs, async) read
+  /// them from this. The accessors below give the report read access.
+  const obs::Sinks& sinks() const { return sinks_; }
   /// Active trace recorder, or nullptr when tracing is off.
-  sim::TraceRecorder* trace() { return trace_.get(); }
   const sim::TraceRecorder* trace() const { return trace_.get(); }
   /// Per-link byte accounting, or nullptr when obs.links is off.
-  obs::LinkUsage* link_usage() { return link_usage_.get(); }
   const obs::LinkUsage* link_usage() const { return link_usage_.get(); }
+  /// Continuous time-series telemetry, or nullptr when obs.timeline is
+  /// off.
+  const obs::Timeline* timeline() const { return timeline_.enabled() ? &timeline_ : nullptr; }
+  const PamiTimelineIds& timeline_ids() const { return timeline_ids_; }
+  /// Critical-path attribution, or nullptr when obs.critpath is off.
+  const obs::CritPath* critpath() const { return critpath_.get(); }
   /// Overload controller (credit ledger, deadline/shed counters), or
   /// nullptr when no flow.* knob enables it.
   flow::Controller* flow() { return flow_.get(); }
   const flow::Controller* flow() const { return flow_.get(); }
-  /// Continuous time-series telemetry, or nullptr when obs.timeline is
-  /// off.
-  obs::Timeline* timeline() { return timeline_.enabled() ? &timeline_ : nullptr; }
-  const obs::Timeline* timeline() const {
-    return timeline_.enabled() ? &timeline_ : nullptr;
-  }
-  const PamiTimelineIds& timeline_ids() const { return timeline_ids_; }
-  /// Critical-path attribution, or nullptr when obs.critpath is off.
-  obs::CritPath* critpath() { return critpath_.get(); }
-  const obs::CritPath* critpath() const { return critpath_.get(); }
-  /// Every sink of this run, as handed to the feeders built here;
-  /// feeders built later (pami contexts, collectives, kvs, async) read
-  /// them from this.
-  const obs::Sinks& sinks() const { return sinks_; }
   /// Trace track carrying rank `r`'s network flow endpoints
   /// ("net@rank<r>"); only valid while tracing.
   std::uint32_t rank_track(RankId rank) const;
