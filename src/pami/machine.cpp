@@ -72,14 +72,16 @@ Machine::Machine(MachineConfig config)
           trace_->register_track("net@rank" + std::to_string(r), !rank_traced(r)));
     }
   }
-  timeline_ids_.pending_ops = timeline_.series("pami.pending_ops", obs::Timeline::Kind::kGauge);
+  timeline_ids_.pending_ops =
+      timeline_.series("pami.pending_ops", obs::Timeline::Kind::kGauge);
   timeline_ids_.retransmits =
       timeline_.series("pami.retransmits", obs::Timeline::Kind::kCounter);
   if (config_.fault.enabled()) {
     injector_ = std::make_unique<fault::Injector>(config_.fault, torus_, sinks_);
     network_->set_injector(injector_.get());
     if (injector_->has_node_fails()) {
-      monitor_ = std::make_unique<ft::HealthMonitor>(config_.ft, *injector_, mapping_, sinks_);
+      monitor_ =
+          std::make_unique<ft::HealthMonitor>(config_.ft, *injector_, mapping_, sinks_);
     }
   }
   // Integrity auto-enables under a corruption plan: a flipped payload
