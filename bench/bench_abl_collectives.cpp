@@ -78,6 +78,7 @@ double allreduce_us(const Config& cli, int ranks, std::size_t bytes,
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"ranks"}, "the 16/64/512-rank sweep of bench_abl_collectives");
   bench::print_banner(
       "bench_abl_collectives: algorithm x size x machine-size sweep",
       "selection-table crossovers for src/coll/ (S II-A collective logic)");

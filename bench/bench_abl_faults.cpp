@@ -28,6 +28,7 @@ struct Scenario {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"ranks"}, "the two-rank ring of bench_abl_faults");
   bench::print_banner(
       "bench_abl_faults: put/get bandwidth under packet loss + link failure",
       "Fig 4 under fault injection — retransmit/backoff + route-around cost");

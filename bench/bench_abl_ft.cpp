@@ -47,6 +47,7 @@ std::vector<double> parse_list(const std::string& csv) {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"ranks"}, "the 8-rank torus of bench_abl_ft");
   bench::print_banner(
       "bench_abl_ft: SCF checkpoint cadence x node-failure time",
       "fail-stop recovery ablation — buddy-checkpoint overhead vs rollback");

@@ -31,6 +31,7 @@ struct Scenario {
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"ranks"}, "the two-rank ring of bench_abl_integrity");
   bench::print_banner(
       "bench_abl_integrity: put/get bandwidth under CRC-verified transport",
       "Fig 4 with silent corruption — CRC+NACK repair cost vs corruption rate");

@@ -171,8 +171,9 @@ void run_counter_probe() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"progress", "contexts", "ranks"},
+                     "the fixed per-claim configurations of bench_paper_summary");
   bench::print_banner("bench_paper_summary: every headline claim, self-checked",
                       "Figs 3,4,6,7,9,11 acceptance bands");
   run_wire_probes();

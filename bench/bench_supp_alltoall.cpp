@@ -85,6 +85,7 @@ double run_engine_alltoall(const Config& cli, const std::string& net, int ranks,
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
+  apps::reject_swept(cli, {"ranks"}, "the 16..128-rank sweep of bench_supp_alltoall");
   bench::print_banner("bench_supp_alltoall: all-to-all exchange, LogGP vs contention",
                       "transpose-pattern stress; bisection sensitivity bound");
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 16384));

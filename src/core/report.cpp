@@ -407,9 +407,6 @@ std::string render_report(const World& world) {
   }
   if (const sim::TraceRecorder* tr = m.trace()) {
     os << "\ntrace: " << tr->event_count() << " events";
-    if (tr->aggregate()) {
-      os << " — aggregated (trace.aggregate=1, " << tr->aggregate_series() << " series)";
-    }
     if (tr->sampling()) {
       os << " — sampled (trace.sample_ranks=" << m.config().trace_sample_ranks
          << "; unsampled ranks muted)";
@@ -453,34 +450,6 @@ obs::Json render_json_report(const World& world) {
     trace.set("events", Json::number(static_cast<std::uint64_t>(tr->event_count())));
     trace.set("max_events", Json::number(static_cast<std::uint64_t>(tr->max_events())));
     trace.set("truncated", Json::boolean(tr->truncated()));
-    trace.set("aggregate", Json::boolean(tr->aggregate()));
-    if (tr->aggregate()) {
-      trace.set("aggregate_series",
-                Json::number(static_cast<std::uint64_t>(tr->aggregate_series())));
-      // Per-(track, event) latency quantiles and instant counts — the
-      // same rows the aggregate-mode trace file carries, so report
-      // consumers need not parse the trace JSON.
-      Json aggs = Json::array();
-      Json instants = Json::array();
-      for (const auto& row : tr->aggregate_rows()) {
-        Json o = Json::object();
-        o.set("track", Json::string(row.track));
-        o.set("name", Json::string(row.name));
-        o.set("count", Json::number(row.count));
-        if (row.latency == nullptr) {
-          instants.push(std::move(o));
-          continue;
-        }
-        const util::Histogram& h = *row.latency;
-        const std::pair<const char*, std::uint64_t> points[] = {
-            {"min_us", h.min()}, {"p50_us", h.quantile(0.5)}, {"p99_us", h.quantile(0.99)},
-            {"p999_us", h.quantile(0.999)}, {"max_us", h.max()}};
-        for (const auto& [key, v] : points) o.set(key, Json::number(to_us(static_cast<Time>(v))));
-        aggs.push(std::move(o));
-      }
-      trace.set("aggregates", std::move(aggs));
-      trace.set("instants", std::move(instants));
-    }
     trace.set("sampled", Json::boolean(tr->sampling()));
     if (tr->sampling()) trace.set("sample_ranks", Json::number(m.config().trace_sample_ranks));
     doc.set("trace", std::move(trace));

@@ -40,7 +40,6 @@ Machine::Machine(MachineConfig config)
                                        sinks_)),
       rng_(config_.seed) {
   if (trace_ != nullptr) {
-    trace_->set_aggregate(config_.trace_aggregate);
     if (config_.trace_sample_ranks > 0 &&
         config_.trace_sample_ranks < config_.num_ranks) {
       PGASQ_LOG(kWarn) << "trace.sample_ranks=" << config_.trace_sample_ranks
@@ -128,8 +127,6 @@ void configure_observability(const Config& cfg, MachineConfig& config) {
       "trace.sample_ranks", static_cast<std::int64_t>(config.trace_sample_ranks));
   PGASQ_CHECK(sample >= 0, << "trace.sample_ranks must be >= 0 (0 = all ranks)");
   config.trace_sample_ranks = static_cast<int>(sample);
-  config.trace_aggregate =
-      cfg.get_bool("trace.aggregate", config.trace_aggregate);
   config.obs = obs::Options::from_config(cfg, config.obs);
 }
 

@@ -64,11 +64,6 @@ struct MachineConfig {
   /// other rank's tracks. 0 traces all ranks. Keeps large-p trace
   /// files bounded; cross-rank flows into unsampled ranks are pruned.
   int trace_sample_ranks = 0;
-  /// trace.aggregate: record per-(track, event) latency histograms
-  /// instead of individual events — O(series), not O(events), memory,
-  /// so multi-thousand-rank runs stay traceable. The JSON keeps the
-  /// {"traceEvents": []} envelope and adds "aggregates"/"instants".
-  bool trace_aggregate = false;
   /// Observability knobs (obs.*): per-link byte accounting & heatmap.
   obs::Options obs{};
   /// Overload-control knobs (flow.*). The Controller is built only
@@ -78,10 +73,9 @@ struct MachineConfig {
 };
 
 /// Applies the trace.* and obs.* config namespaces onto `config`:
-/// trace.json_path, trace.max_events, trace.sample_ranks,
-/// trace.aggregate, obs.links, obs.link_bucket_us, obs.link_top,
-/// obs.timeline, obs.timeline_bucket_us, obs.timeline_max_series,
-/// obs.timeline_top, obs.critpath, obs.critpath_top.
+/// trace.json_path, trace.max_events, trace.sample_ranks, obs.links,
+/// obs.link_bucket_us, obs.link_top, obs.timeline, obs.timeline_bucket_us,
+/// obs.timeline_max_series, obs.timeline_top, obs.critpath, obs.critpath_top.
 void configure_observability(const Config& cfg, MachineConfig& config);
 
 /// Pre-registered timeline series for the pami layer's hot paths (one

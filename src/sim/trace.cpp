@@ -29,34 +29,24 @@ bool TraceRecorder::room() {
 }
 
 void TraceRecorder::begin_slice(std::uint32_t track, Time at) {
-  if (muted_[track] || aggregate_ || !room()) return;
+  if (muted_[track] || !room()) return;
   events_.push_back(Event{'B', track, at, 0, 0, {}, {}});
 }
 
 void TraceRecorder::end_slice(std::uint32_t track, Time at) {
-  if (muted_[track] || aggregate_ || !room()) return;
+  if (muted_[track] || !room()) return;
   events_.push_back(Event{'E', track, at, 0, 0, {}, {}});
 }
 
 void TraceRecorder::instant(std::uint32_t track, const std::string& name,
                             Time at, TraceArgs args) {
-  if (muted_[track]) return;
-  if (aggregate_) {
-    ++instant_counts_[SeriesKey{track, name}];
-    return;
-  }
-  if (!room()) return;
+  if (muted_[track] || !room()) return;
   events_.push_back(Event{'i', track, at, 0, 0, name, std::move(args)});
 }
 
 void TraceRecorder::complete(std::uint32_t track, const std::string& name,
                              Time at, Time dur, TraceArgs args) {
-  if (muted_[track]) return;
-  if (aggregate_) {
-    agg_[SeriesKey{track, name}].add(static_cast<std::uint64_t>(dur));
-    return;
-  }
-  if (!room()) return;
+  if (muted_[track] || !room()) return;
   events_.push_back(Event{'X', track, at, dur, 0, name, std::move(args)});
 }
 
@@ -67,22 +57,6 @@ void TraceRecorder::flow_point(char phase, std::uint32_t track,
               << "bad flow phase '" << phase << "'");
   PGASQ_CHECK(id != 0, << "flow id 0 is reserved for 'no flow'");
   if (muted_[track]) return;
-  if (aggregate_) {
-    // Flows collapse to their end-to-end latency, credited to the 'f'
-    // point's (track, name) series — e.g. "ack recv" lands on the
-    // origin's net track, "coll hop recv" on the receiver's.
-    if (phase == 's') {
-      open_flows_[id] = at;
-    } else if (phase == 'f') {
-      auto it = open_flows_.find(id);
-      if (it != open_flows_.end()) {
-        agg_[SeriesKey{track, name}].add(
-            static_cast<std::uint64_t>(at - it->second));
-        open_flows_.erase(it);
-      }
-    }
-    return;
-  }
   // Anchor slice first so the flow event binds to it.
   complete(track, name, at, 0, std::move(args));
   if (!room()) return;
@@ -113,55 +87,7 @@ void append_args(std::ostringstream& os, const TraceArgs& args) {
 }
 }  // namespace
 
-std::vector<TraceRecorder::AggregateRow> TraceRecorder::aggregate_rows() const {
-  std::vector<AggregateRow> rows;
-  rows.reserve(agg_.size() + instant_counts_.size());
-  for (const auto& [key, hist] : agg_) {
-    rows.push_back({tracks_[key.first], key.second, &hist, hist.total()});
-  }
-  for (const auto& [key, count] : instant_counts_) {
-    rows.push_back({tracks_[key.first], key.second, nullptr, count});
-  }
-  return rows;
-}
-
 std::string TraceRecorder::to_json() const {
-  if (aggregate_) {
-    // Aggregate mode: the Chrome-trace envelope survives (so existing
-    // loaders see a valid, empty trace) and the payload moves into
-    // "aggregates" (latency quantiles per series, microseconds) and
-    // "instants" (marker counts per series).
-    std::ostringstream os;
-    os << "{\"traceEvents\":[],\"aggregates\":[";
-    bool first = true;
-    for (const auto& [key, hist] : agg_) {
-      if (!first) os << ',';
-      first = false;
-      os << "{\"track\":\"";
-      append_escaped(os, tracks_[key.first]);
-      os << "\",\"name\":\"";
-      append_escaped(os, key.second);
-      os << "\",\"count\":" << hist.total()
-         << ",\"min_us\":" << to_us(static_cast<Time>(hist.min()))
-         << ",\"p50_us\":" << to_us(static_cast<Time>(hist.quantile(0.5)))
-         << ",\"p99_us\":" << to_us(static_cast<Time>(hist.quantile(0.99)))
-         << ",\"p999_us\":" << to_us(static_cast<Time>(hist.quantile(0.999)))
-         << ",\"max_us\":" << to_us(static_cast<Time>(hist.max())) << '}';
-    }
-    os << "],\"instants\":[";
-    first = true;
-    for (const auto& [key, count] : instant_counts_) {
-      if (!first) os << ',';
-      first = false;
-      os << "{\"track\":\"";
-      append_escaped(os, tracks_[key.first]);
-      os << "\",\"name\":\"";
-      append_escaped(os, key.second);
-      os << "\",\"count\":" << count << '}';
-    }
-    os << "]}";
-    return os.str();
-  }
   // Under rank sampling a flow can start on a muted track: its 't'/'f'
   // points would render as arrows from nowhere (and trip the trace
   // validator). Prune continuations whose start was never recorded.

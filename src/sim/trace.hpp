@@ -11,13 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "util/histogram.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq::sim {
@@ -46,33 +43,6 @@ class TraceRecorder {
   /// to_json() then prunes flow continuations whose start was muted.
   bool sampling() const { return sampling_; }
   bool track_muted(std::uint32_t track) const { return muted_[track]; }
-
-  /// Aggregate mode (trace.aggregate): instead of storing one event
-  /// per call — O(events) memory, unusable at thousands of ranks —
-  /// fold everything into per-(track, name) histograms: complete
-  /// events aggregate their durations, each flow aggregates its
-  /// start-to-finish latency at the 'f' point, instants count. The
-  /// JSON keeps the {"traceEvents": []} envelope (empty) and adds an
-  /// "aggregates" array of per-series latency quantiles.
-  void set_aggregate(bool on) { aggregate_ = on; }
-  bool aggregate() const { return aggregate_; }
-  /// Number of aggregated (track, name) series (aggregate mode only).
-  std::size_t aggregate_series() const {
-    return agg_.size() + instant_counts_.size();
-  }
-
-  /// One aggregate-mode series, resolved to its track name for report
-  /// rendering. `latency` is null for instant series (count only).
-  struct AggregateRow {
-    std::string track;
-    std::string name;
-    const util::Histogram* latency = nullptr;
-    std::uint64_t count = 0;
-  };
-  /// Aggregate-mode series in deterministic (track id, name) order:
-  /// latency rows first, then instant rows. Empty outside aggregate
-  /// mode. Pointers stay valid while the recorder lives.
-  std::vector<AggregateRow> aggregate_rows() const;
 
   void begin_slice(std::uint32_t track, Time at);
   void end_slice(std::uint32_t track, Time at);
@@ -117,23 +87,13 @@ class TraceRecorder {
   /// False (and warns once) when the event cap is reached.
   bool room();
 
-  /// Series key: (track id, event name). std::map keeps rendering
-  /// order deterministic without a sort at serialization time.
-  using SeriesKey = std::pair<std::uint32_t, std::string>;
-
   std::size_t max_events_;
   bool truncated_ = false;
   bool sampling_ = false;
-  bool aggregate_ = false;
   std::uint64_t last_flow_id_ = 0;
   std::vector<std::string> tracks_;
   std::vector<bool> muted_;
   std::vector<Event> events_;
-  /// Aggregate mode: latency histograms (ns) per series and pending
-  /// flow starts ('s' seen, 'f' not yet).
-  std::map<SeriesKey, util::Histogram> agg_;
-  std::map<SeriesKey, std::uint64_t> instant_counts_;
-  std::unordered_map<std::uint64_t, Time> open_flows_;
 };
 
 }  // namespace pgasq::sim

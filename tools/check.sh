@@ -276,6 +276,8 @@ knob_gate() {
   # keys instead of reading and then overriding them.
   expect_rejected "progress is set by the D/AT x process-count sweep of bench_fig9_rmw" \
     "${repo}/${dir}/bench/bench_fig9_rmw" --max_ranks=8 --progress=async --ranks=999
+  expect_rejected "ranks is set by the 16/64/512-rank sweep of bench_abl_collectives" \
+    "${repo}/${dir}/bench/bench_abl_collectives" --ranks=999
   local ex
   for ex in quickstart dgemm_overlap scf_walkthrough halo_exchange \
             work_stealing sparse_update kv_service; do
