@@ -6,7 +6,6 @@
 
 #include "async/async.hpp"
 #include "coll/coll.hpp"
-#include "coll/nbc.hpp"
 #include "core/comm.hpp"
 #include "ft/recovery.hpp"
 #include "ga/collectives.hpp"
@@ -325,7 +324,7 @@ void run_scf_ft(armci::Comm& comm, const ScfConfig& config, ScfResult& result,
 }
 
 /// Overlapped driver (config.overlap): the shared Fock build, but the
-/// per-iteration energy reduction is non-blocking (coll::NbcEngine via
+/// per-iteration energy reduction is non-blocking (coll::CollEngine via
 /// ga::ielement_sum) and chained past the iteration boundary — it
 /// advances from the progress passes the next iteration's
 /// gets/accs/RMWs make anyway — and its window hides a speculative
@@ -343,7 +342,6 @@ void run_scf_overlap(armci::Comm& comm, const ScfConfig& config,
   // Engines up before the timed region, like the blocking path.
   coll::CollEngine::of(comm);
   async::Runtime& rt = async::Runtime::of(comm);
-  coll::NbcEngine::of(comm);
 
   const armci::CommStats before = comm.stats();
   if (comm.rank() == 0) t_start = comm.now();
@@ -394,7 +392,7 @@ void run_scf_blocking(armci::Comm& comm, const ScfConfig& config,
   ga::GlobalArray scratch(comm, config.nbf, config.nbf);
   ga::SharedCounter counter(comm);
   seed_density(comm, config, config.distributed_guess, density, fock);
-  // Bring up the collectives engine (scratch arena, barrier hook)
+  // Bring up the collectives engine (slot arena, barrier hook)
   // with the rest of the runtime, outside the timed region — like a
   // real SCF, which initializes GA/ARMCI long before the Fock loop.
   coll::CollEngine::of(comm);

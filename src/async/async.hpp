@@ -131,7 +131,7 @@ class Runtime final : public fut::Scheduler {
   /// queue — the outer frame owns it.
   void drain();
 
-  /// Registers a per-progress-pass poller (the nbc engine's stepper);
+  /// Registers a per-progress-pass poller (the non-blocking collectives' stepper);
   /// returns an id for unregister.
   std::size_t register_poller(std::function<void()> fn);
   void unregister_poller(std::size_t id);

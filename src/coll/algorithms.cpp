@@ -1,9 +1,10 @@
 // Software collective schedules on the torus. Every CollEngine
-// function here opens its own transport epoch (begin_data_op) sized to
-// its exact slot needs; slot indices are allocated in the same
-// deterministic order on every rank, which is what matches a sender's
-// write to the receiver's wait. The step functions shared with
-// NbcEngine (schedule.hpp) come first; their callers own the epochs.
+// function here opens its own block of the blocking arena (begin)
+// sized to its exact slot needs; slot indices are allocated in the
+// same deterministic order on every rank, which is what matches a
+// sender's write to the receiver's wait. The resumable step functions
+// the non-blocking collectives share (schedule.hpp) come first; their
+// callers open the blocks.
 #include <algorithm>
 #include <cstring>
 #include <utility>
@@ -16,8 +17,56 @@
 namespace pgasq::coll {
 
 // ---------------------------------------------------------------------------
-// Schedules shared with NbcEngine (schedule.hpp)
+// Resumable step functions (schedule.hpp)
 // ---------------------------------------------------------------------------
+
+bool barrier_dissemination_step(Hops& hops, StepState& s, int p, int me) {
+  for (; (1 << s.round) < p; ++s.round, s.sent = false) {
+    const auto slot = static_cast<std::size_t>(s.round);
+    if (!s.sent) {
+      hops.send((me + (1 << s.round)) % p, slot, nullptr, 0);
+      s.sent = true;
+    }
+    if (hops.recv(slot, 0) == nullptr) return false;
+  }
+  return true;
+}
+
+bool barrier_tree_step(Hops& hops, StepState& s, int p, int me) {
+  const int rounds = ceil_log2(p);
+  for (; s.phase == 0 && s.round < rounds; ++s.round) {
+    const int mask = 1 << s.round;
+    const auto slot = static_cast<std::size_t>(s.round);
+    if (me & mask) {
+      hops.send(me - mask, slot, nullptr, 0);  // joined my parent
+      break;
+    }
+    if (me + mask < p && hops.recv(slot, 0) == nullptr) return false;
+  }
+  s.phase = 1;
+  const auto release = static_cast<std::size_t>(rounds);
+  if (me != 0 && hops.recv(release, 0) == nullptr) return false;
+  const int limit = me == 0 ? p : (me & -me);
+  for (int m = 1; m < limit; m <<= 1) {
+    if (me + m < p) hops.send(me + m, release, nullptr, 0);
+  }
+  return true;
+}
+
+bool barrier_ring_step(Hops& hops, StepState& s, int p, int me) {
+  if (s.phase == 0) {
+    if (me == 0 && !s.sent) {
+      hops.send(1, 0, nullptr, 0);
+      s.sent = true;
+    }
+    if (hops.recv(0, 0) == nullptr) return false;
+    if (me != 0) hops.send((me + 1) % p, 0, nullptr, 0);
+    s.phase = 1;
+  }
+  if (me != 0 && hops.recv(1, 0) == nullptr) return false;
+  if (me != p - 1) hops.send(me + 1, 1, nullptr, 0);
+  return true;
+}
 
 bool bcast_binomial_step(Hops& hops, int p, int me, int root, std::size_t slot,
                          std::byte* data, std::size_t bytes) {
@@ -72,7 +121,7 @@ std::size_t allreduce_recdbl_slots(int p) {
   return static_cast<std::size_t>(ceil_log2(Fold(p).pof2)) + 2;
 }
 
-bool allreduce_recdbl_step(Hops& hops, RecdblState& s, int p, int me, double* x,
+bool allreduce_recdbl_step(Hops& hops, StepState& s, int p, int me, double* x,
                            std::size_t n) {
   const Fold fold(p);
   const int rounds = ceil_log2(fold.pof2);
@@ -94,30 +143,12 @@ bool allreduce_recdbl_step(Hops& hops, RecdblState& s, int p, int me, double* x,
   return fold.post(hops, me, static_cast<std::size_t>(1 + rounds), x, n);
 }
 
-/// recv polls until the message lands, so every shared schedule step
-/// runs straight through in one call.
-class CollEngine::Blocking final : public Hops {
- public:
-  explicit Blocking(CollEngine& e) : e_(e) {}
-  void send(int to, std::size_t slot, const void* data,
-            std::size_t bytes) override {
-    e_.send(to, slot, data, bytes);
-  }
-  const std::byte* recv(std::size_t slot, std::size_t bytes) override {
-    return e_.recv_wait(slot, bytes);
-  }
-
- private:
-  CollEngine& e_;
-};
-
 // ---------------------------------------------------------------------------
 // Broadcast
 // ---------------------------------------------------------------------------
 
 void CollEngine::bcast_binomial(std::byte* data, std::size_t bytes, int root) {
-  begin_data_op(bytes, 1);
-  Blocking hops(*this);
+  BlockHops hops = begin(Op::kBroadcast, bytes, 1);
   bcast_binomial_step(hops, geometry_.p, me_, root, 0, data, bytes);
 }
 
@@ -136,7 +167,7 @@ void CollEngine::bcast_ring(std::byte* data, std::size_t bytes, int root,
   const std::size_t nseg =
       (seg == 0 || seg >= bytes) ? 1 : (bytes + seg - 1) / seg;
   const std::size_t seg_bytes = nseg == 1 ? bytes : seg;
-  begin_data_op(seg_bytes, nseg);
+  BlockHops hops = begin(Op::kBroadcast, seg_bytes, nseg);
   const std::vector<int> mine = digits_of(me_);
   const std::vector<int> rootd = digits_of(root);
   const int dims = static_cast<int>(rings_.size());
@@ -163,8 +194,8 @@ void CollEngine::bcast_ring(std::byte* data, std::size_t bytes, int root,
   for (std::size_t s = 0; s < nseg; ++s) {
     const std::size_t off = s * seg_bytes;
     const std::size_t len = std::min(seg_bytes, bytes - off);
-    if (k >= 0) std::memcpy(data + off, recv_wait(s, len), len);
-    for (const int child : children) send(child, s, data + off, len);
+    if (k >= 0) std::memcpy(data + off, hops.recv(s, len), len);
+    for (const int child : children) hops.send(child, s, data + off, len);
   }
 }
 
@@ -175,26 +206,25 @@ void CollEngine::bcast_ring(std::byte* data, std::size_t bytes, int root,
 void CollEngine::reduce_binomial(double* x, std::size_t n, int root) {
   const int p = geometry_.p, me = me_;
   const int rounds = ceil_log2(p);
-  begin_data_op(n * 8, static_cast<std::size_t>(rounds));
+  BlockHops hops = begin(Op::kReduce, n * 8, static_cast<std::size_t>(rounds));
   const int vr = (me - root + p) % p;
   for (int r = 0; r < rounds; ++r) {
     const int mask = 1 << r;
     if (vr & mask) {
-      send(((vr - mask) + root) % p, static_cast<std::size_t>(r), x, n * 8);
+      hops.send(((vr - mask) + root) % p, static_cast<std::size_t>(r), x, n * 8);
       break;  // handed the partial to the parent; done
     }
     if (vr + mask < p) {
       const auto* in =
-          reinterpret_cast<const double*>(recv_wait(static_cast<std::size_t>(r), n * 8));
+          reinterpret_cast<const double*>(hops.recv(static_cast<std::size_t>(r), n * 8));
       for (std::size_t i = 0; i < n; ++i) x[i] += in[i];
     }
   }
 }
 
 void CollEngine::allreduce_recdbl(double* x, std::size_t n) {
-  begin_data_op(n * 8, allreduce_recdbl_slots(geometry_.p));
-  Blocking hops(*this);
-  RecdblState state;
+  BlockHops hops = begin(Op::kAllreduce, n * 8, allreduce_recdbl_slots(geometry_.p));
+  StepState state;
   allreduce_recdbl_step(hops, state, geometry_.p, me_, x, n);
 }
 
@@ -211,8 +241,7 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
   const int rounds = ceil_log2(pof2);
   // Slots: 0 = pre-fold, 1+r = halving rounds, 1+rounds+r = doubling
   // rounds, 1+2*rounds = post-fold.
-  begin_data_op(n * 8, 2 * static_cast<std::size_t>(rounds) + 2);
-  Blocking hops(*this);
+  BlockHops hops = begin(Op::kAllreduce, n * 8, 2 * static_cast<std::size_t>(rounds) + 2);
 
   // Chunk c spans [c*cap, (c+1)*cap) clipped to n. Both sides of every
   // exchange derive bounds from the shared capacity, so remainders
@@ -245,10 +274,10 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
       const std::size_t sa = chunk_lo(slo), sb = chunk_lo(shi);
       const std::size_t ra = chunk_lo(rlo), rb = chunk_lo(rhi);
       const std::size_t slot = static_cast<std::size_t>(1 + r);
-      if (sb > sa) send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
+      if (sb > sa) hops.send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
       if (rb > ra) {
         const auto* in =
-            reinterpret_cast<const double*>(recv_wait(slot, (rb - ra) * 8));
+            reinterpret_cast<const double*>(hops.recv(slot, (rb - ra) * 8));
         for (std::size_t i = 0; i < rb - ra; ++i) x[ra + i] += in[i];
       }
       lo = rlo;
@@ -267,9 +296,9 @@ void CollEngine::allreduce_rab(double* x, std::size_t n) {
       const std::size_t sa = chunk_lo(slo), sb = chunk_lo(slo + mask);
       const std::size_t ra = chunk_lo(rlo), rb = chunk_lo(rlo + mask);
       const std::size_t slot = static_cast<std::size_t>(1 + rounds + r);
-      if (sb > sa) send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
+      if (sb > sa) hops.send(fold.position(partner), slot, x + sa, (sb - sa) * 8);
       if (rb > ra) {
-        std::memcpy(x + ra, recv_wait(slot, (rb - ra) * 8), (rb - ra) * 8);
+        std::memcpy(x + ra, hops.recv(slot, (rb - ra) * 8), (rb - ra) * 8);
       }
     }
   }
@@ -300,7 +329,8 @@ void CollEngine::allreduce_ring(double* x, std::size_t n) {
   for (const RingDim& ring : rings_) {
     total_slots += 2 * static_cast<std::size_t>(ring.size - 1);
   }
-  begin_data_op(cap[1] * 8, std::max<std::size_t>(total_slots, 1));
+  BlockHops hops =
+      begin(Op::kAllreduce, cap[1] * 8, std::max<std::size_t>(total_slots, 1));
 
   std::vector<std::pair<std::size_t, std::size_t>> seg(
       static_cast<std::size_t>(dims) + 1);
@@ -322,9 +352,9 @@ void CollEngine::allreduce_ring(double* x, std::size_t n) {
     const int m = ring.size, g = ring.digit;
     for (int s = 0; s < m - 1; ++s) {
       const auto [sa, sb] = chunk(d, (g - s + m) % m);
-      send(ring.next, slot, x + sa, (sb - sa) * 8);
+      hops.send(ring.next, slot, x + sa, (sb - sa) * 8);
       const auto [ra, rb] = chunk(d, (g - s - 1 + m) % m);
-      const auto* in = reinterpret_cast<const double*>(recv_wait(slot, (rb - ra) * 8));
+      const auto* in = reinterpret_cast<const double*>(hops.recv(slot, (rb - ra) * 8));
       for (std::size_t i = 0; i < rb - ra; ++i) x[ra + i] += in[i];
       ++slot;
     }
@@ -338,9 +368,9 @@ void CollEngine::allreduce_ring(double* x, std::size_t n) {
     const int m = ring.size, g = ring.digit;
     for (int s = 0; s < m - 1; ++s) {
       const auto [sa, sb] = chunk(d, (g + 1 - s + 2 * m) % m);
-      send(ring.next, slot, x + sa, (sb - sa) * 8);
+      hops.send(ring.next, slot, x + sa, (sb - sa) * 8);
       const auto [ra, rb] = chunk(d, (g - s + 2 * m) % m);
-      const auto* in = reinterpret_cast<const double*>(recv_wait(slot, (rb - ra) * 8));
+      const auto* in = reinterpret_cast<const double*>(hops.recv(slot, (rb - ra) * 8));
       std::memcpy(x + ra, in, (rb - ra) * 8);
       ++slot;
     }
@@ -355,17 +385,17 @@ void CollEngine::allgather_recdbl(const std::byte* in, std::size_t bytes,
                                   std::byte* out) {
   const int p = geometry_.p, me = me_;
   const int rounds = ceil_log2(p);
-  begin_data_op(static_cast<std::size_t>(p / 2) * bytes,
-                static_cast<std::size_t>(rounds));
+  BlockHops hops = begin(Op::kAllgather, static_cast<std::size_t>(p / 2) * bytes,
+                         static_cast<std::size_t>(rounds));
   std::memcpy(out + static_cast<std::size_t>(me) * bytes, in, bytes);
   for (int r = 0; r < rounds; ++r) {
     const int partner = me ^ (1 << r);
     const std::size_t count = static_cast<std::size_t>(1) << r;
     const std::size_t base = static_cast<std::size_t>(me & ~((1 << r) - 1));
     const std::size_t pbase = static_cast<std::size_t>(partner & ~((1 << r) - 1));
-    send(partner, static_cast<std::size_t>(r), out + base * bytes, count * bytes);
+    hops.send(partner, static_cast<std::size_t>(r), out + base * bytes, count * bytes);
     std::memcpy(out + pbase * bytes,
-                recv_wait(static_cast<std::size_t>(r), count * bytes), count * bytes);
+                hops.recv(static_cast<std::size_t>(r), count * bytes), count * bytes);
   }
 }
 
@@ -375,16 +405,16 @@ void CollEngine::allgather_ring(const std::byte* in, std::size_t bytes,
   // mapping consecutive ranks pack a node (T) before stepping to the
   // torus neighbour, so each hop is local or nearest-neighbour.
   const int p = geometry_.p, me = me_;
-  begin_data_op(bytes, static_cast<std::size_t>(p - 1));
+  BlockHops hops = begin(Op::kAllgather, bytes, static_cast<std::size_t>(p - 1));
   std::memcpy(out + static_cast<std::size_t>(me) * bytes, in, bytes);
   const int next = (me + 1) % p, prev = (me - 1 + p) % p;
   for (int s = 0; s < p - 1; ++s) {
     const int send_block = (me - s + p) % p;
-    send(next, static_cast<std::size_t>(s),
-         out + static_cast<std::size_t>(send_block) * bytes, bytes);
+    hops.send(next, static_cast<std::size_t>(s),
+              out + static_cast<std::size_t>(send_block) * bytes, bytes);
     const int recv_block = (prev - s + p) % p;
     std::memcpy(out + static_cast<std::size_t>(recv_block) * bytes,
-                recv_wait(static_cast<std::size_t>(s), bytes), bytes);
+                hops.recv(static_cast<std::size_t>(s), bytes), bytes);
   }
 }
 
@@ -396,22 +426,22 @@ void CollEngine::allgather_binomial(const std::byte* in, std::size_t bytes,
   // only picks it for small gathers.
   const int p = geometry_.p, me = me_;
   const int rounds = ceil_log2(p);
-  begin_data_op(static_cast<std::size_t>(p) * bytes,
-                static_cast<std::size_t>(rounds) + 1);
+  BlockHops hops = begin(Op::kAllgather, static_cast<std::size_t>(p) * bytes,
+                         static_cast<std::size_t>(rounds) + 1);
   std::memcpy(out + static_cast<std::size_t>(me) * bytes, in, bytes);
   int count = 1, mask = 1, r = 0;
   while (mask < p) {
     if (me & mask) {
-      send(me - mask, static_cast<std::size_t>(r),
-           out + static_cast<std::size_t>(me) * bytes,
-           static_cast<std::size_t>(count) * bytes);
+      hops.send(me - mask, static_cast<std::size_t>(r),
+                out + static_cast<std::size_t>(me) * bytes,
+                static_cast<std::size_t>(count) * bytes);
       break;
     }
     const int src = me + mask;
     if (src < p) {
       const int scount = std::min(mask, p - src);
       std::memcpy(out + static_cast<std::size_t>(src) * bytes,
-                  recv_wait(static_cast<std::size_t>(r),
+                  hops.recv(static_cast<std::size_t>(r),
                             static_cast<std::size_t>(scount) * bytes),
                   static_cast<std::size_t>(scount) * bytes);
       count += scount;
@@ -420,7 +450,6 @@ void CollEngine::allgather_binomial(const std::byte* in, std::size_t bytes,
     ++r;
   }
   // Binomial broadcast of the full buffer from rank 0, slot `rounds`.
-  Blocking hops(*this);
   bcast_binomial_step(hops, p, me, 0, static_cast<std::size_t>(rounds), out,
                       static_cast<std::size_t>(p) * bytes);
 }
@@ -429,80 +458,62 @@ void CollEngine::allgather_binomial(const std::byte* in, std::size_t bytes,
 // Alltoall
 // ---------------------------------------------------------------------------
 
-void CollEngine::alltoall_pairwise_xor(const std::byte* in, std::size_t bytes,
-                                       std::byte* out) {
-  // XOR-pairwise schedule: step s pairs rank r with r^s, so at every
-  // step the machine exchanges in disjoint pairs. For non-power-of-two
-  // p the steps run to the next power of two and a rank sits a step
-  // out when its partner would fall past p — every unordered pair
-  // {a, b} still meets exactly once, at s = a^b. Slot index = source
-  // rank; all sends are issued non-blocking so injection overlaps
-  // across steps.
-  const int p = geometry_.p, me = me_;
-  const int lim = 1 << ceil_log2(p);
-  begin_data_op(bytes, static_cast<std::size_t>(p));
-  std::memcpy(out + static_cast<std::size_t>(me) * bytes,
-              in + static_cast<std::size_t>(me) * bytes, bytes);
-  std::byte* stage =
-      grow_local(stage_all_, stage_cap_, static_cast<std::size_t>(lim) * slot_bytes_);
-  armci::Handle handle;
-  for (int s = 1; s < lim; ++s) {
-    const int partner = me ^ s;
-    if (partner >= p) continue;
-    send_nb(partner, static_cast<std::size_t>(me),
-            in + static_cast<std::size_t>(partner) * bytes, bytes,
-            stage + static_cast<std::size_t>(s) * slot_bytes_, handle);
+std::vector<int> CollEngine::alltoall_order(Algo algo) const {
+  const int p = geometry_.p;
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(p) - 1);
+  if (algo == Algo::kRecdbl) {
+    // XOR-pairwise: step s pairs rank r with r^s, so at every step the
+    // machine exchanges in disjoint pairs. For non-power-of-two p the
+    // steps run to the next power of two and a rank sits a step out
+    // when its partner would fall past p — every unordered pair {a, b}
+    // still meets exactly once, at s = a^b.
+    for (int s = 1; s < (1 << ceil_log2(p)); ++s) {
+      if ((me_ ^ s) < p) order.push_back(me_ ^ s);
+    }
+    return order;
   }
-  for (int s = 1; s < lim; ++s) {
-    const int partner = me ^ s;
-    if (partner >= p) continue;
-    std::memcpy(out + static_cast<std::size_t>(partner) * bytes,
-                recv_wait(static_cast<std::size_t>(partner), bytes), bytes);
+  // Torus-hop order: targets sorted nearest-first, so neighbour
+  // exchanges drain off the links before long-haul routes pile
+  // contention onto the shared dimension-order paths. Works for any p
+  // (hop distances come from the world ranks behind the positions).
+  const pami::Machine& machine = comm_.world().machine();
+  const topo::RankMapping& map = machine.mapping();
+  const int my_node = map.node_of_rank(wrank(me_));
+  std::vector<int> dist(static_cast<std::size_t>(p));
+  for (int off = 1; off < p; ++off) {
+    const int target = (me_ + off) % p;
+    order.push_back(target);
+    dist[static_cast<std::size_t>(target)] =
+        machine.torus().hop_distance(my_node, map.node_of_rank(wrank(target)));
   }
-  comm_.wait(handle);
+  std::stable_sort(order.begin(), order.end(), [&dist](int a, int b) {
+    return dist[static_cast<std::size_t>(a)] < dist[static_cast<std::size_t>(b)];
+  });
+  return order;
 }
 
-void CollEngine::alltoall_torus(const std::byte* in, std::size_t bytes,
-                                std::byte* out) {
-  // Torus-hop-ordered schedule: targets sorted nearest-first, so
-  // neighbour exchanges drain off the links before long-haul routes
-  // pile contention onto the shared dimension-order paths. Works for
-  // any p (positions are schedule positions; hop distances come from
-  // the world ranks behind them); slot index = source position keeps
-  // matching order-independent.
-  const int p = geometry_.p, me = me_;
-  begin_data_op(bytes, static_cast<std::size_t>(p));
-  std::memcpy(out + static_cast<std::size_t>(me) * bytes,
-              in + static_cast<std::size_t>(me) * bytes, bytes);
-  const pami::Machine& machine = comm_.world().machine();
-  const topo::Torus5D& torus = machine.torus();
-  const topo::RankMapping& map = machine.mapping();
-  const int my_node = map.node_of_rank(wrank(me));
-  std::vector<std::pair<int, int>> order;  // (hops, target)
-  order.reserve(static_cast<std::size_t>(p) - 1);
-  for (int off = 1; off < p; ++off) {
-    const int target = (me + off) % p;
-    order.emplace_back(
-        torus.hop_distance(my_node, map.node_of_rank(wrank(target))), target);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::byte* stage =
-      grow_local(stage_all_, stage_cap_, static_cast<std::size_t>(p) * slot_bytes_);
+void CollEngine::alltoall_exchange(const std::byte* in, std::size_t bytes,
+                                   std::byte* out, const std::vector<int>& order) {
+  // Slot index = source position keeps matching order-independent;
+  // every send goes out non-blocking, so injection overlaps across
+  // targets, and the receives follow in the same order.
+  const std::size_t me = static_cast<std::size_t>(me_);
+  const Block b = open_block(slots_, Op::kAlltoall, op_name(Op::kAlltoall), bytes,
+                             static_cast<std::size_t>(geometry_.p));
+  BlockHops hops(slots_, b);
+  std::memcpy(out + me * bytes, in + me * bytes, bytes);
   armci::Handle handle;
-  std::size_t area = 0;
-  for (const auto& [hops, target] : order) {
-    send_nb(target, static_cast<std::size_t>(me),
-            in + static_cast<std::size_t>(target) * bytes, bytes,
-            stage + area * slot_bytes_, handle);
-    ++area;
+  for (const int to : order) {
+    slots_.send(b, to, me, in + static_cast<std::size_t>(to) * bytes, bytes, &handle);
   }
-  for (int off = 1; off < p; ++off) {
-    const int source = (me - off + p) % p;
-    std::memcpy(out + static_cast<std::size_t>(source) * bytes,
-                recv_wait(static_cast<std::size_t>(source), bytes), bytes);
+  for (const int from : order) {
+    const auto f = static_cast<std::size_t>(from);
+    std::memcpy(out + f * bytes, hops.recv(f, bytes), bytes);
   }
   comm_.wait(handle);
+  // Drained: without slot checksums nobody re-fetches from the stages.
+  if (!slots_.checksums()) slots_.retire_stages();
 }
 
 }  // namespace pgasq::coll

@@ -3,40 +3,43 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <deque>
 #include <string>
 
 #include "fault/integrity.hpp"
+#include "pami/machine.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::coll {
 
 namespace {
 
-// Scratch arena layout: a fixed barrier-word region at the base (its
-// words live at stable addresses forever, so software-barrier flags
-// stay monotone across data-op epochs), data slots after it. A group
-// engine's world-collective arena is control-only: barrier words plus
-// a member address table (word kBarrierWords + i holds member i's
-// current data-area base); its data slots live in per-member
-// registered local areas instead.
-constexpr std::size_t kBarrierWords = 64;
-constexpr std::size_t kBarrierBytes = kBarrierWords * 8;
-constexpr std::size_t kInitialDataBytes = 4096;
-constexpr int kAddrWord0 = static_cast<int>(kBarrierWords);
+// First capacities of the blocking and the non-blocking arena; both
+// double until a block fits.
+constexpr std::size_t kArenaBytes = 4608;
+constexpr std::size_t kNbcArenaBytes = 64 * 1024;
 
-// Barrier-word assignments (disjoint per schedule, so mixing schedules
-// across invocations is safe).
-constexpr int kDissemWord0 = 0;    // dissemination round r -> word r
-constexpr int kTreeUpWord0 = 20;   // child joining via bit k -> word 20+k
-constexpr int kTreeDownWord = 40;  // release signal (one per rank)
-constexpr int kRingTokenWord = 48;
-constexpr int kRingReleaseWord = 49;
-
-// Virtual compute time between two polls of a flag or word.
-constexpr Time kPollSlice = from_ns(200);
+// Flag kinds: an op's is its Op value + 1; a group's address slots
+// carry their own.
+std::uint64_t kind(Op op) { return static_cast<std::uint64_t>(op) + 1; }
+constexpr std::uint64_t kAddressKind = 7;
 
 constexpr SlotNames kSlotNames{"collective slot", "coll hop", "coll hop recv",
                                "coll slot refetch"};
+constexpr SlotNames kNbcSlotNames{"nbc slot", "nbc hop", "nbc hop recv",
+                                  "nbc slot refetch"};
+
+/// The geometry facts every engine mode shares, for p participants.
+Geometry base_geometry(const pami::Machine& machine, int p) {
+  Geometry g;
+  g.p = p;
+  g.pow2 = p > 0 && std::has_single_bit(static_cast<unsigned>(p));
+  g.diameter = machine.torus().diameter();
+  const fault::Injector* injector = machine.injector();
+  g.link_faults = injector != nullptr && injector->has_link_faults();
+  g.corruption = injector != nullptr && injector->plan().corrupt_prob > 0.0;
+  return g;
+}
 
 }  // namespace
 
@@ -58,11 +61,8 @@ struct HwShared {
 class CollEngine::OpTimer {
  public:
   OpTimer(CollEngine& e, Op op, Algo algo, std::uint64_t bytes)
-      : e_(e),
-        op_(static_cast<int>(op)),
-        algo_(static_cast<int>(algo)),
-        bytes_(bytes),
-        t0_(e.comm_.now()) {
+      : e_(e), op_(static_cast<int>(op)), algo_(static_cast<int>(algo)),
+        bytes_(bytes), t0_(e.comm_.now()) {
     if (sim::TraceRecorder* trace = e_.slots_.trace()) {
       trace->instant(e_.slots_.track(),
                      std::string(op_name(op)) + "/" + algo_name(algo), t0_);
@@ -89,6 +89,45 @@ class CollEngine::OpTimer {
   Time t0_;
 };
 
+/// One open non-blocking collective: its block, its schedule's program
+/// counter, and the promise its future hangs off.
+struct CollEngine::IOp {
+  IOp(Op k, const char* n, fut::Scheduler& sched, std::byte* d, std::size_t b, int r)
+      : kind(k), name(n), promise(sched), data(d), bytes(b), root(r) {}
+
+  Op kind;
+  const char* name;
+  Block block;
+  fut::Promise<fut::Unit> promise;
+  armci::Handle sends;  ///< aggregates every hop this op injected
+  bool schedule_done = false;
+  StepState state;
+  std::byte* data;  ///< ibcast payload, iallreduce vector
+  std::size_t bytes;
+  int root;
+};
+
+/// The non-blocking side: the async runtime, whose progress passes
+/// step every open op, the non-blocking arena (its memory comes with
+/// its first block) and the open ops in initiation order.
+struct CollEngine::Nbc {
+  explicit Nbc(CollEngine& e)
+      : rt(async::Runtime::of(e.comm_)),
+        arena(e.comm_, e.members_, kNbcSlotNames, e.comm_.next_coll_engine_salt(),
+              [&e] { return "coll-nbc/r" + std::to_string(e.comm_.rank()); }),
+        poller(rt.register_poller([&e] { e.step_all(); })),
+        open_series(e.comm_.world().machine().sinks().timeline->series(
+            "async.nbc_open_ops", obs::Timeline::Kind::kGauge)) {}
+
+  async::Runtime& rt;
+  SlotArena arena;
+  std::size_t poller;
+  obs::Timeline::SeriesId open_series;
+  std::deque<std::unique_ptr<IOp>> open;
+  bool stepping = false;
+  std::uint64_t completed = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Lifecycle
 // ---------------------------------------------------------------------------
@@ -106,7 +145,7 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
       config_(CollConfig::from_options(comm.options())),
       members_(std::move(members)),
       stats_(&comm.coll_stats()),
-      slots_(comm, kSlotNames, comm.next_coll_engine_salt(),
+      slots_(comm, members_, kSlotNames, comm.next_coll_engine_salt(),
              [&comm] { return "coll/r" + std::to_string(comm.rank()); }) {
   pami::Machine& machine = comm.world().machine();
   const topo::Torus5D& torus = machine.torus();
@@ -115,13 +154,8 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   const int p = shrunk ? static_cast<int>(members_.size()) : comm.nprocs();
   if (!shrunk) PGASQ_CHECK(map.num_ranks() == p);
 
-  geometry_.p = p;
-  geometry_.pow2 = std::has_single_bit(static_cast<unsigned>(p));
-  geometry_.diameter = torus.diameter();
+  geometry_ = base_geometry(machine, p);
   geometry_.shrunk = shrunk;
-  const fault::Injector* injector = machine.injector();
-  geometry_.link_faults = injector != nullptr && injector->has_link_faults();
-  geometry_.corruption = injector != nullptr && injector->plan().corrupt_prob > 0.0;
   if (!shrunk) {
     geometry_.ppn = map.ranks_per_node();
     geometry_.nodes = torus.num_nodes();
@@ -164,10 +198,10 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   hw_ = std::static_pointer_cast<HwShared>(shared);
 
   // Collective: every rank constructs its engine at the same program
-  // point, so the arena rendezvous lines up. The barrier hook is
+  // point, so the arena's allocation lines up. The barrier hook is
   // installed only afterwards — the allocation's internal barriers
   // must not dispatch into a half-built engine.
-  ensure_scratch(kInitialDataBytes);
+  grow(slots_, 0);
   comm.set_barrier_hook([this] {
     if (in_alloc_) {
       comm_.barrier_hw();
@@ -184,7 +218,7 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
       group_(true),
       member_(std::find(members_.begin(), members_.end(), comm.rank()) != members_.end()),
       label_(spec.label),
-      slots_(comm, kSlotNames, comm.next_coll_engine_salt(), [this, &comm] {
+      slots_(comm, members_, kSlotNames, comm.next_coll_engine_salt(), [this, &comm] {
         return member_ ? "grp/" + label_ + "/r" + std::to_string(comm.rank()) : "";
       }) {
   pami::Machine& machine = comm.world().machine();
@@ -194,14 +228,8 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
   const auto it = std::find(members_.begin(), members_.end(), me);
   me_ = member_ ? static_cast<int>(it - members_.begin()) : -1;
 
-  geometry_.p = static_cast<int>(members_.size());
-  geometry_.pow2 = !members_.empty() &&
-                   std::has_single_bit(static_cast<unsigned>(members_.size()));
-  geometry_.diameter = torus.diameter();
+  geometry_ = base_geometry(machine, static_cast<int>(members_.size()));
   geometry_.group = true;
-  const fault::Injector* injector = machine.injector();
-  geometry_.link_faults = injector != nullptr && injector->has_link_faults();
-  geometry_.corruption = injector != nullptr && injector->plan().corrupt_prob > 0.0;
 
   // Ring schedules survive grouping when the member set is an
   // axis-aligned box in (A..E coordinate, slot) space — the canonical
@@ -265,20 +293,35 @@ CollEngine::CollEngine(armci::Comm& comm, const GroupSpec& spec)
     stats_ = &comm.coll_stats();  // never written: ops reject non-members
   }
 
-  // One uniform world-collective control arena per engine: barrier
-  // words plus the member address table. Every live world rank — even
-  // a non-member — constructs its engine here, so the allocation
-  // rendezvous lines up. Data slots are attached lazily (group_grow)
-  // at the first data-moving op. No barrier hook, no hardware-model
-  // attach: those belong to the world engine alone.
+  // One uniform world-collective control block per engine: two
+  // rendezvous halves of ceil(log2 control_slots) slots, then one
+  // address slot per possible member. Every live world rank — even a
+  // non-member — constructs its engine here, so the allocation
+  // rendezvous lines up. The data area is attached at the first op.
+  // No barrier hook, no hardware-model attach: those belong to the
+  // world engine alone.
   const std::size_t control_slots =
       spec.control_slots == 0 ? members_.size() : spec.control_slots;
   PGASQ_CHECK(!member_ || control_slots >= members_.size());
-  peer_data_.assign(members_.size(), nullptr);
-  scratch_ = &comm_.malloc_collective(kBarrierBytes + control_slots * 8);
+  ctl_ = std::make_unique<SlotArena>(slots_);
+  ctl_rounds_ = static_cast<std::uint32_t>(ceil_log2(static_cast<int>(control_slots)));
+  ctl_->attach(comm_.malloc_collective(2 * ctl_rounds_ * ctl_->hdr() +
+                                       control_slots * (ctl_->hdr() + 8)));
 }
 
-CollEngine::~CollEngine() = default;
+CollEngine::~CollEngine() {
+  // Open i-ops at teardown stay counted as pending futures: the
+  // runtime's finalize quiescence check turns them into a diagnostic
+  // abort. Never throw from here.
+  if (!nbc_) return;
+  nbc_->rt.unregister_poller(nbc_->poller);
+  nbc_->arena.release_stages();
+}
+
+std::size_t CollEngine::open_ops() const { return nbc_ ? nbc_->open.size() : 0; }
+std::uint64_t CollEngine::ops_completed() const { return nbc_ ? nbc_->completed : 0; }
+std::uint64_t CollEngine::hops_sent() const { return nbc_ ? nbc_->arena.hops() : 0; }
+std::uint64_t CollEngine::nbc_wraps() const { return nbc_ ? nbc_->arena.wraps() : 0; }
 
 void CollEngine::rebuild_shrunk(armci::Comm& comm, std::vector<int> members) {
   // Detach first: the replacement engine's collective allocation
@@ -299,188 +342,89 @@ void CollEngine::rebuild_shrunk(armci::Comm& comm, std::vector<int> members) {
 }
 
 // ---------------------------------------------------------------------------
-// Scratch arena & slot transport
+// Arenas
 // ---------------------------------------------------------------------------
 
-bool CollEngine::ensure_scratch(std::size_t data_bytes) {
-  PGASQ_CHECK(!group_);  // group data slots live in group_grow areas
-  const std::size_t needed = kBarrierBytes + data_bytes;
-  if (scratch_ != nullptr && scratch_->bytes_per_rank() >= needed) return false;
-  in_alloc_ = true;
-  std::size_t capacity = kBarrierBytes + kInitialDataBytes;
-  if (scratch_ != nullptr) {
-    capacity = scratch_->bytes_per_rank();
-    // free/malloc rendezvous below drain every in-flight slot write
-    // before the old arena goes away (their barriers fence first).
-    comm_.free_collective(*scratch_);
-    ++comm_.coll_stats().scratch_reallocs;
-  }
-  while (capacity < needed) capacity *= 2;
-  scratch_ = &comm_.malloc_collective(capacity);
-  in_alloc_ = false;
-  // The fresh arena is zero-filled: software-barrier flags restart
-  // from zero (every rank reallocates at this same collective point),
-  // and any slot layout finds clean flag words.
-  barrier_seq_ = 0;
-  layout_ = 0;
-  return true;
+Block CollEngine::open_block(SlotArena& a, Op op, const char* name,
+                             std::size_t payload, std::size_t slots) {
+  const std::size_t need = a.block_bytes(payload, slots);
+  if (!a.fits(need)) wrap(a, need, need / slots);
+  return a.open(kind(op), name, payload, slots);
 }
 
-void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
-  PGASQ_CHECK(n_slots > 0);
-  slot_bytes_ = slots_.hdr() + ((slot_payload + 7) & ~std::size_t{7});
-  n_slots_ = n_slots;
-  if (group_) {
-    // Group epochs rendezvous over the control arena, never the
-    // world-wide hardware barrier (non-members are elsewhere).
-    ++epoch_;
-    group_rendezvous();  // all previous-epoch traffic delivered
-    slots_.retire_stages();       // ... so no re-fetch can still target a stage
-    const std::size_t need = slot_bytes_ * n_slots;
-    if (data_cap_ < need) {
-      group_grow(need);  // fresh zero-filled area; publish + rendezvous
-      layout_ = slot_bytes_;
-    } else if (layout_ != slot_bytes_) {
-      // Flag words move when the slot pitch changes; wipe between two
-      // rendezvous so no new-epoch write races the memset.
-      std::memset(data_local_, 0, data_cap_);
-      group_rendezvous();
-      layout_ = slot_bytes_;
-    }
+BlockHops CollEngine::begin(Op op, std::size_t payload, std::size_t slots) {
+  return BlockHops(slots_, open_block(slots_, op, op_name(op), payload, slots));
+}
+
+void CollEngine::wrap(SlotArena& a, std::size_t need, std::size_t pitch) {
+  if (&a != &slots_ && a.capacity() > 0) {
+    // Drive every open op home: each progress pass runs the poller,
+    // and every rank reaches this same wrap before initiating the op
+    // that overflowed the cursor.
+    comm_.progress_until([this] { return nbc_->open.empty(); });
+  }
+  if (need > a.capacity()) {
+    grow(a, need);
     return;
   }
-  const bool grew = ensure_scratch(slot_bytes_ * n_slots);
-  ++epoch_;
-  if (grew) {
-    slots_.retire_stages();  // the reallocation's rendezvous quiesced everything
-    layout_ = slot_bytes_;
-    return;  // the reallocation's own rendezvous isolated this epoch
-  }
-  if (layout_ != slot_bytes_) {
-    // Flag words move when the slot pitch changes; stale payload bytes
-    // from the old layout could alias the new flag positions. Quiesce,
-    // wipe, and only then let anyone inject the new epoch.
-    comm_.barrier_hw();
-    slots_.retire_stages();
-    std::memset(scratch_->local(comm_.rank()) + kBarrierBytes, 0,
-                scratch_->bytes_per_rank() - kBarrierBytes);
-    comm_.barrier_hw();
-    layout_ = slot_bytes_;
-  } else {
-    // Same layout: flags are epoch-monotone, but invocation N+1 slot
-    // writes must not land while a skewed rank still polls epoch N
-    // (retransmit backoff can delay its message arbitrarily). The
-    // rendezvous guarantees all epoch-N traffic delivered first.
-    comm_.barrier_hw();
-    slots_.retire_stages();
-  }
+  // Every rank consumed every message of the cycle before getting
+  // here, so nothing lands in my part until the rendezvous lets the
+  // next cycle start.
+  a.wipe(pitch, need);
+  rendezvous();
+  a.rewind();  // no re-fetch can target a stage past the rendezvous
 }
 
-void CollEngine::group_rendezvous() {
+void CollEngine::grow(SlotArena& a, std::size_t need) {
+  std::size_t cap = a.capacity() > 0 ? a.capacity()
+                    : &a == &slots_    ? kArenaBytes
+                                       : kNbcArenaBytes;
+  while (cap < need) cap *= 2;
+  if (!group_) {
+    in_alloc_ = true;
+    if (a.mem() != nullptr) {
+      comm_.free_collective(*a.mem());
+      if (&a == &slots_) ++comm_.coll_stats().scratch_reallocs;
+    }
+    a.attach(comm_.malloc_collective(cap));
+    in_alloc_ = false;
+    a.rewind();
+    return;
+  }
+  if (a.capacity() > 0) rendezvous();
+  a.rewind();
+  auto* area = static_cast<std::byte*>(comm_.malloc_local(cap));
+  // Publish my base to every member through the control block's
+  // address slots, and collect theirs. The previous exchange was
+  // consumed everywhere before the rendezvous above completed.
+  const std::size_t hdr = ctl_->hdr();
+  const auto p = static_cast<std::size_t>(geometry_.p);
+  BlockHops hops(*ctl_, {((ctl_seq_ + std::uint64_t{1}) << 4) | kAddressKind,
+                         2 * ctl_rounds_ * hdr, hdr + 8, p, "group address exchange"});
+  for (int j = 0; j < geometry_.p; ++j) {
+    if (j != me_) hops.send(j, static_cast<std::size_t>(me_), &area, sizeof area);
+  }
+  std::vector<std::byte*> peers(p, area);
+  for (std::size_t j = 0; j < p; ++j) {
+    if (j != static_cast<std::size_t>(me_)) std::memcpy(&peers[j], hops.recv(j, 8), 8);
+  }
+  a.attach(area, cap, std::move(peers));
+}
+
+void CollEngine::rendezvous() {
+  if (!group_) {
+    comm_.barrier_hw();  // fences first
+    return;
+  }
   if (geometry_.p <= 1) return;
   comm_.fence_all();
-  ++barrier_seq_;
-  barrier_dissemination();
-}
-
-void CollEngine::group_grow(std::size_t need) {
-  std::size_t cap = data_cap_ == 0 ? kInitialDataBytes : data_cap_;
-  while (cap < need) cap *= 2;
-  // The old area is abandoned in place (Comm keeps the registered
-  // allocation until finalize): straggler writes from the epoch just
-  // quiesced and stale remote region-cache entries both stay harmless,
-  // and the fresh area arrives zero-filled.
-  data_local_ = static_cast<std::byte*>(comm_.malloc_local(cap));
-  data_cap_ = cap;
-  const auto base = reinterpret_cast<std::uint64_t>(data_local_);
-  for (int j = 0; j < geometry_.p; ++j) {
-    if (j == me_) continue;
-    put_word(j, kAddrWord0 + me_, base);
-  }
-  peer_data_[static_cast<std::size_t>(me_)] = data_local_;
-  // Delivery + arrival of every member's address word, then read the
-  // table (plain loads: the values are not monotone, so wait_word does
-  // not apply — the rendezvous is the synchronization).
-  group_rendezvous();
-  const std::byte* table = scratch_->local(comm_.rank());
-  for (int j = 0; j < geometry_.p; ++j) {
-    if (j == me_) continue;
-    std::uint64_t v = 0;
-    std::memcpy(&v, table + static_cast<std::size_t>(kAddrWord0 + j) * 8, 8);
-    peer_data_[static_cast<std::size_t>(j)] = reinterpret_cast<std::byte*>(v);
-  }
-}
-
-armci::RemotePtr CollEngine::slot_remote(int to, std::size_t slot) {
-  if (group_) {
-    return {wrank(to), peer_data_[static_cast<std::size_t>(to)] + slot * slot_bytes_};
-  }
-  return scratch_->at(wrank(to), kBarrierBytes + slot * slot_bytes_);
-}
-
-std::byte* CollEngine::slot_local(std::size_t slot) {
-  if (group_) return data_local_ + slot * slot_bytes_;
-  return scratch_->local(comm_.rank()) + kBarrierBytes + slot * slot_bytes_;
-}
-
-std::byte* CollEngine::grow_local(std::byte*& buf, std::size_t& capacity,
-                                  std::size_t need) {
-  if (capacity >= need) return buf;
-  std::size_t grown = capacity == 0 ? 4096 : capacity * 2;
-  while (grown < need) grown *= 2;
-  if (buf != nullptr) comm_.free_local(buf);
-  buf = static_cast<std::byte*>(comm_.malloc_local(grown));
-  capacity = grown;
-  return buf;
-}
-
-void CollEngine::send(int to, std::size_t slot, const void* data,
-                      std::size_t bytes) {
-  const std::size_t hdr = slots_.hdr();
-  PGASQ_CHECK(slot < n_slots_ && bytes + hdr <= slot_bytes_);
-  // Under slot checksums the stage is retained for the whole epoch so
-  // the receiver can re-fetch a corrupted payload; otherwise the
-  // reusable buffer suffices (the put snapshots it at injection).
-  std::byte* stage = hdr == 8 ? grow_local(send_buf_, send_cap_, 8 + bytes)
-                              : slots_.stage(bytes);
-  slots_.seal(stage, epoch_, data, bytes);
-  slots_.trace_send(wrank(to), epoch_, slot, bytes);
-  // One put carries flag + payload: the simulator delivers it in a
-  // single atomic copy, so a raised flag implies a complete payload.
-  comm_.put(stage, slot_remote(to, slot), hdr + bytes);
-}
-
-void CollEngine::send_nb(int to, std::size_t slot, const void* data,
-                         std::size_t bytes, std::byte* stage,
-                         armci::Handle& handle) {
-  PGASQ_CHECK(slot < n_slots_ && bytes + slots_.hdr() <= slot_bytes_);
-  slots_.seal(stage, epoch_, data, bytes);
-  slots_.trace_send(wrank(to), epoch_, slot, bytes);
-  comm_.nb_put(stage, slot_remote(to, slot), slots_.hdr() + bytes, handle);
-}
-
-const std::byte* CollEngine::recv_wait(std::size_t slot, std::size_t bytes) {
-  PGASQ_CHECK(slot < n_slots_ && bytes + slots_.hdr() <= slot_bytes_);
-  std::byte* base = slot_local(slot);
-  const volatile std::uint64_t* flag =
-      reinterpret_cast<const volatile std::uint64_t*>(base);
-  comm_.poll_until([flag, this] { return *flag >= epoch_; }, kPollSlice);
-  PGASQ_CHECK(*flag == epoch_,
-              << "collective slot " << slot << " flagged epoch " << *flag
-              << ", expected " << epoch_);
-  return slots_.open(base, epoch_, slot, bytes);
-}
-
-void CollEngine::put_word(int to, int word, std::uint64_t value) {
-  std::byte* stage = grow_local(send_buf_, send_cap_, 8);
-  std::memcpy(stage, &value, 8);
-  comm_.put(stage, scratch_->at(wrank(to), static_cast<std::size_t>(word) * 8), 8);
-}
-
-void CollEngine::wait_word(int word, std::uint64_t at_least) {
-  const volatile std::uint64_t* w = reinterpret_cast<const volatile std::uint64_t*>(
-      scratch_->local(comm_.rank()) + static_cast<std::size_t>(word) * 8);
-  comm_.poll_until([w, at_least] { return *w >= at_least; }, kPollSlice);
+  ++ctl_seq_;
+  const std::size_t hdr = ctl_->hdr();
+  BlockHops hops(*ctl_, {(std::uint64_t{ctl_seq_} << 4) | kind(Op::kBarrier),
+                         (ctl_seq_ % 2) * ctl_rounds_ * hdr, hdr, ctl_rounds_,
+                         "group rendezvous"});
+  StepState s;
+  barrier_dissemination_step(hops, s, geometry_.p, me_);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +445,8 @@ void CollEngine::barrier() {
 }
 
 void CollEngine::run_barrier(Algo algo) {
-  if (geometry_.p == 1) return;
+  const int p = geometry_.p;
+  if (p == 1) return;
   if (algo == Algo::kHw) {
     PGASQ_CHECK(!group_, << "hw barrier on a process group");
     comm_.barrier_hw();  // the global-interrupt network (fences first)
@@ -511,71 +456,124 @@ void CollEngine::run_barrier(Algo algo) {
     hier_barrier();
     return;
   }
+  PGASQ_CHECK(algo == Algo::kRecdbl || algo == Algo::kBinomial ||
+                  algo == Algo::kTorusRing,
+              << "bad barrier algorithm");
+  const bool tree = algo == Algo::kBinomial;
+  const bool ring = algo == Algo::kTorusRing;
+  const auto rounds = static_cast<std::size_t>(ceil_log2(p));
   comm_.fence_all();
-  ++barrier_seq_;
-  switch (algo) {
-    case Algo::kRecdbl:
-      barrier_dissemination();
-      break;
-    case Algo::kBinomial:
-      barrier_tree();
-      break;
-    case Algo::kTorusRing:
-      barrier_ring();
-      break;
-    default:
-      PGASQ_CHECK(false, << "bad barrier algorithm");
-  }
+  BlockHops hops = begin(Op::kBarrier, 0, ring ? 2 : tree ? rounds + 1 : rounds);
+  StepState s;
+  (ring   ? barrier_ring_step
+   : tree ? barrier_tree_step
+          : barrier_dissemination_step)(hops, s, p, me_);
 }
 
-void CollEngine::barrier_dissemination() {
-  const int p = geometry_.p, me = me_;
-  for (int r = 0; (1 << r) < p; ++r) {
-    PGASQ_CHECK(r < kTreeUpWord0 - kDissemWord0);
-    put_word((me + (1 << r)) % p, kDissemWord0 + r, barrier_seq_);
-    wait_word(kDissemWord0 + r, barrier_seq_);
-  }
+// ---------------------------------------------------------------------------
+// Non-blocking collectives
+// ---------------------------------------------------------------------------
+
+fut::Future<fut::Unit> CollEngine::ibarrier() {
+  return start(Op::kBarrier, "ibarrier", nullptr, 0, 0,
+               static_cast<std::size_t>(ceil_log2(geometry_.p)));
 }
 
-void CollEngine::barrier_tree() {
-  const int p = geometry_.p, me = me_;
-  // Gather up the binomial tree rooted at 0: absorb each child
-  // (me + 2^k, arriving on its own word), then report to the parent.
-  int mask = 1;
-  while (mask < p) {
-    if (me & mask) {
-      put_word(me - mask, kTreeUpWord0 + std::countr_zero(static_cast<unsigned>(mask)),
-               barrier_seq_);
-      break;
+fut::Future<fut::Unit> CollEngine::ibcast(void* data, std::size_t bytes,
+                                          armci::RankId root) {
+  PGASQ_CHECK(data != nullptr && bytes > 0 && root >= 0 && root < geometry_.p);
+  return start(Op::kBroadcast, "ibcast", static_cast<std::byte*>(data), bytes,
+               static_cast<int>(root), 1);
+}
+
+fut::Future<fut::Unit> CollEngine::iallreduce_sum(double* x, std::size_t n) {
+  PGASQ_CHECK(x != nullptr && n > 0);
+  return start(Op::kAllreduce, "iallreduce", reinterpret_cast<std::byte*>(x),
+               n * 8, 0, allreduce_recdbl_slots(geometry_.p));
+}
+
+fut::Future<fut::Unit> CollEngine::start(Op kind, const char* name,
+                                         std::byte* data, std::size_t bytes,
+                                         int root, std::size_t slots) {
+  PGASQ_CHECK(!group_, << name << " on a process group: non-blocking "
+                       "collectives run on the world engine");
+  if (!nbc_) nbc_ = std::make_unique<Nbc>(*this);
+  Nbc& n = *nbc_;
+  if (geometry_.p == 1) return fut::make_ready(n.rt, fut::Unit{});
+  auto op = std::make_unique<IOp>(kind, name, n.rt, data, bytes, root);
+  op->block = open_block(n.arena, kind, name, bytes, slots);
+  // An open op counts as a pending future: an abandoned one (rank
+  // divergence, a dropped future) is caught by the runtime's finalize
+  // quiescence check instead of hanging silently. It is also a poll
+  // source — its arrival flags are one-sided writes, so blocking waits
+  // must poll rather than park while it is open.
+  n.rt.note_pending(+1);
+  n.rt.note_poll_source(+1);
+  if (sim::TraceRecorder* trace = n.arena.trace()) {
+    trace->instant(n.arena.track(), std::string(name) + " start", comm_.now());
+  }
+  fut::Future<fut::Unit> f = op->promise.future();
+  n.open.push_back(std::move(op));
+  sample_gauge();
+  // Step immediately: the first rounds' send hops go out at
+  // initiation, not at the next progress pass.
+  step_all();
+  return f;
+}
+
+void CollEngine::step_all() {
+  Nbc& n = *nbc_;
+  if (n.stepping) return;
+  n.stepping = true;
+  for (std::size_t i = 0; i < n.open.size();) {
+    if (!step(*n.open[i])) {
+      ++i;
+      continue;
     }
-    if (me + mask < p) {
-      wait_word(kTreeUpWord0 + std::countr_zero(static_cast<unsigned>(mask)),
-                barrier_seq_);
+    const std::unique_ptr<IOp> done = std::move(n.open[i]);
+    n.open.erase(n.open.begin() + static_cast<std::ptrdiff_t>(i));
+    ++n.completed;
+    n.rt.note_pending(-1);
+    n.rt.note_poll_source(-1);
+    if (sim::TraceRecorder* trace = n.arena.trace()) {
+      trace->instant(n.arena.track(), std::string(done->name) + " done", comm_.now());
     }
-    mask <<= 1;
+    sample_gauge();
+    // Continuations do NOT run inline here: fulfill enqueues them on
+    // the runtime's FIFO queue, drained after the poller pass, so
+    // chained work observes a deterministic order.
+    done->promise.fulfill(fut::Unit{});
   }
-  // Release back down the same tree.
-  if (me != 0) wait_word(kTreeDownWord, barrier_seq_);
-  const int limit = me == 0 ? p : (me & -me);
-  for (int m = 1; m < limit; m <<= 1) {
-    if (me + m < p) put_word(me + m, kTreeDownWord, barrier_seq_);
-  }
+  n.stepping = false;
 }
 
-void CollEngine::barrier_ring() {
-  const int p = geometry_.p, me = me_;
-  // A token circulates 0 -> 1 -> ... -> p-1 -> 0, then a release pass
-  // chases it. O(p) latency: the ablation baseline.
-  if (me == 0) {
-    put_word(1, kRingTokenWord, barrier_seq_);
-    wait_word(kRingTokenWord, barrier_seq_);
-    put_word(1, kRingReleaseWord, barrier_seq_);
-  } else {
-    wait_word(kRingTokenWord, barrier_seq_);
-    put_word((me + 1) % p, kRingTokenWord, barrier_seq_);
-    wait_word(kRingReleaseWord, barrier_seq_);
-    if (me != p - 1) put_word(me + 1, kRingReleaseWord, barrier_seq_);
+bool CollEngine::step(IOp& op) {
+  if (!op.schedule_done) {
+    BlockHops hops(nbc_->arena, op.block, &op.sends);
+    const int p = geometry_.p;
+    switch (op.kind) {
+      case Op::kBarrier:
+        op.schedule_done = barrier_dissemination_step(hops, op.state, p, me_);
+        break;
+      case Op::kBroadcast:
+        op.schedule_done =
+            bcast_binomial_step(hops, p, me_, op.root, 0, op.data, op.bytes);
+        break;
+      default:
+        op.schedule_done = allreduce_recdbl_step(
+            hops, op.state, p, me_, reinterpret_cast<double*>(op.data), op.bytes / 8);
+        break;
+    }
   }
+  // Completion: the schedule consumed every receive AND every injected
+  // hop drained locally. (Stages stay retained for re-fetch until the
+  // next wrap regardless; the drain condition rate-limits initiation.)
+  return op.schedule_done && (!op.sends.used() || op.sends.done());
+}
+
+void CollEngine::sample_gauge() {
+  comm_.world().machine().sinks().timeline->sample(
+      nbc_->open_series, comm_.now(), static_cast<double>(nbc_->open.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +611,7 @@ void CollEngine::hw_rendezvous(const void* contribution, std::size_t bytes,
         hw_latency(model_bytes), [shared] { ++shared->generation; });
   }
   comm_.poll_until([&hw, generation] { return hw.generation != generation; },
-                   kPollSlice);
+                   armci::Comm::kPollSlice);
 }
 
 void CollEngine::hw_broadcast(std::byte* data, std::size_t bytes, int root) {
@@ -673,39 +671,24 @@ void CollEngine::broadcast_with(Algo algo, std::byte* d, std::size_t bytes,
 }
 
 void CollEngine::reduce_sum(double* x, std::size_t n, armci::RankId root) {
-  require_member();
-  PGASQ_CHECK(x != nullptr && n > 0 && root >= 0 && root < geometry_.p);
-  if (geometry_.p == 1) return;
-  const Algo algo = config_.choose(Op::kReduce, n * 8, geometry_);
-  OpTimer timer(*this, Op::kReduce, algo, n * 8);
-  switch (algo) {
-    case Algo::kBinomial:
-      reduce_binomial(x, n, root);
-      break;
-    case Algo::kTorusRing:
-      allreduce_ring(x, n);  // every rank ends with the result; fine
-      break;
-    case Algo::kHw:
-      hw_reduce_sum(x, n, root, /*all=*/false);
-      break;
-    case Algo::kHier:
-      hier_reduce_sum(x, n, root, /*all=*/false);
-      break;
-    default:
-      PGASQ_CHECK(false, << "bad reduce algorithm");
-  }
+  reduce(Op::kReduce, x, n, static_cast<int>(root));
 }
 
 void CollEngine::allreduce_sum(double* x, std::size_t n) {
+  reduce(Op::kAllreduce, x, n, 0);
+}
+
+void CollEngine::reduce(Op op, double* x, std::size_t n, int root) {
   require_member();
-  PGASQ_CHECK(x != nullptr && n > 0);
+  PGASQ_CHECK(x != nullptr && n > 0 && root >= 0 && root < geometry_.p);
   if (geometry_.p == 1) return;
-  const Algo algo = config_.choose(Op::kAllreduce, n * 8, geometry_);
-  OpTimer timer(*this, Op::kAllreduce, algo, n * 8);
+  const bool all = op == Op::kAllreduce;
+  const Algo algo = config_.choose(op, n * 8, geometry_);
+  OpTimer timer(*this, op, algo, n * 8);
   switch (algo) {
     case Algo::kBinomial:
-      reduce_binomial(x, n, 0);
-      bcast_binomial(reinterpret_cast<std::byte*>(x), n * 8, 0);
+      reduce_binomial(x, n, root);
+      if (all) bcast_binomial(reinterpret_cast<std::byte*>(x), n * 8, 0);
       break;
     case Algo::kRecdbl:
       allreduce_recdbl(x, n);
@@ -714,16 +697,16 @@ void CollEngine::allreduce_sum(double* x, std::size_t n) {
       allreduce_rab(x, n);
       break;
     case Algo::kTorusRing:
-      allreduce_ring(x, n);
+      allreduce_ring(x, n);  // every rank ends with the result; fine
       break;
     case Algo::kHw:
-      hw_reduce_sum(x, n, 0, /*all=*/true);
+      hw_reduce_sum(x, n, root, all);
       break;
     case Algo::kHier:
-      hier_reduce_sum(x, n, 0, /*all=*/true);
+      hier_reduce_sum(x, n, root, all);
       break;
     default:
-      PGASQ_CHECK(false, << "bad allreduce algorithm");
+      PGASQ_CHECK(false, << "bad " << op_name(op) << " algorithm");
   }
 }
 
@@ -766,17 +749,10 @@ void CollEngine::alltoall(const void* in, std::size_t bytes, void* out) {
     return;
   }
   const Algo algo = config_.choose(Op::kAlltoall, bytes, geometry_);
+  PGASQ_CHECK(algo == Algo::kRecdbl || algo == Algo::kTorusRing,
+              << "bad alltoall algorithm");
   OpTimer timer(*this, Op::kAlltoall, algo, bytes);
-  switch (algo) {
-    case Algo::kRecdbl:
-      alltoall_pairwise_xor(i, bytes, o);
-      break;
-    case Algo::kTorusRing:
-      alltoall_torus(i, bytes, o);
-      break;
-    default:
-      PGASQ_CHECK(false, << "bad alltoall algorithm");
-  }
+  alltoall_exchange(i, bytes, o, alltoall_order(algo));
 }
 
 // ---------------------------------------------------------------------------

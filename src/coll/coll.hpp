@@ -1,24 +1,23 @@
 // CollEngine — topology-aware collective operations for the ARMCI
-// runtime.
+// runtime, blocking and non-blocking.
 //
 // One engine attaches lazily to each rank's Comm (in the Comm's opaque
 // coll slot) the first time a collective is invoked; creation is itself
 // collective, so the attach happens at the same program point on every
 // rank. The engine owns
 //
-//   * a persistent scratch arena (one collective allocation, grown
-//     geometrically) instead of the malloc/free-per-call pattern —
-//     on BG/Q every registration costs a ~43 us memregion_create
-//     (Table I), so reusing the arena is itself a measurable win;
-//   * a slot/flag transport on that arena: each message is one put of
-//     [flag word | payload], delivered atomically by the simulator,
-//     with per-invocation-unique slots and an epoch-monotone flag so
-//     fault-induced skew (retransmit backoff) can never alias a stale
-//     message into the current invocation;
-//   * software schedules on the torus — binomial/dissemination trees,
-//     recursive doubling with the non-power-of-two fold, and
-//     per-torus-dimension ring (bucket) pipelines driven by
-//     topo::Torus5D neighbour geometry;
+//   * two slot arenas (slot.hpp), one fresh block of slots per op and
+//     a rendezvous only when an arena wraps: the blocking one, built
+//     with the engine, and the non-blocking one, built at the first
+//     i-op, so a blocking op never forces open i-ops home. Reusing
+//     registered arenas is itself a measurable win on BG/Q, where
+//     every registration costs a ~43 us memregion_create (Table I);
+//   * software schedules on the torus — dissemination/tree/ring
+//     barriers, binomial trees, recursive doubling with the
+//     non-power-of-two fold, Rabenseifner, and per-torus-dimension
+//     ring (bucket) pipelines — over the hop interface of
+//     schedule.hpp, whose step functions ibarrier / ibcast /
+//     iallreduce advance from the async runtime's progress passes;
 //   * a calibrated model of the BG/Q collective-logic hardware
 //     (kHw): contributions combine in rank order at a shared
 //     rendezvous and every participant releases after
@@ -37,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "async/async.hpp"
 #include "coll/selection.hpp"
 #include "coll/slot.hpp"
 #include "core/comm.hpp"
@@ -79,10 +79,9 @@ class CollEngine {
   /// no clean torus decomposition).
   CollEngine(armci::Comm& comm, std::vector<int> members);
   /// Group-mode engine (see GroupSpec): schedules run over the group's
-  /// members only, on a private two-tier arena — a world-collective
-  /// control arena (software-barrier words + member address table) and
-  /// per-member registered data areas whose bases are re-exchanged
-  /// through the control arena on growth. The hardware collective
+  /// members only. Its arena is a per-member registered area whose
+  /// bases are exchanged through a world-collective control block,
+  /// which also carries the wrap's rendezvous. The hardware collective
   /// logic is unselectable; torus rings survive when the member set
   /// decomposes into an axis-aligned box of (coordinate, slot) tuples.
   CollEngine(armci::Comm& comm, const GroupSpec& spec);
@@ -93,7 +92,7 @@ class CollEngine {
   /// Replaces `comm`'s attached engine with a fresh one over the
   /// surviving `members` (fail-stop communicator shrink). The old
   /// engine's arena is dropped freed-but-kept, so in-flight slot
-  /// writes from the previous epoch land in dead memory harmlessly.
+  /// writes from before the shrink land in dead memory harmlessly.
   static void rebuild_shrunk(armci::Comm& comm, std::vector<int> members);
 
   // --- Collective operations (all ranks must call, in order) -----------------
@@ -114,6 +113,21 @@ class CollEngine {
   /// stores it at out[me*bytes ..]. Both buffers are p * bytes.
   void alltoall(const void* in, std::size_t bytes, void* out);
 
+  // --- Non-blocking collectives (collective initiation order!) -------------
+  //
+  // World (or shrunk) engine only. Each future is fulfilled when this
+  // rank's part completes (receives consumed, sends locally drained);
+  // keep the buffer alive and untouched until then. Ops advance from
+  // every progress pass. The first i-op creates the async runtime and
+  // the non-blocking arena.
+
+  fut::Future<fut::Unit> ibarrier();
+  /// Binomial-tree broadcast of root's buffer.
+  fut::Future<fut::Unit> ibcast(void* data, std::size_t bytes, armci::RankId root);
+  /// In-place elementwise sum, bitwise equal on every rank to the
+  /// blocking recursive-doubling allreduce.
+  fut::Future<fut::Unit> iallreduce_sum(double* x, std::size_t n);
+
   // --- Introspection ----------------------------------------------------------
 
   const CollConfig& config() const { return config_; }
@@ -130,6 +144,13 @@ class CollEngine {
   /// The schedule's member list (world ranks). Empty in full-clique
   /// mode, where position v IS world rank v.
   const std::vector<int>& group_members() const { return members_; }
+  /// Non-blocking collectives open / completed, and the hops they sent.
+  std::size_t open_ops() const;
+  std::uint64_t ops_completed() const;
+  std::uint64_t hops_sent() const;
+  /// Wraps of the blocking and of the non-blocking arena so far.
+  std::uint64_t blocking_wraps() const { return slots_.wraps(); }
+  std::uint64_t nbc_wraps() const;
 
  private:
   /// One ring the torus decomposes this clique into: a torus dimension
@@ -143,51 +164,47 @@ class CollEngine {
   };
 
   class OpTimer;
+  struct IOp;
+  struct Nbc;
 
-  // Scratch arena & slot transport (coll.cpp).
-  bool ensure_scratch(std::size_t data_bytes);
-  /// Opens a data-moving invocation: sizes the slot layout, isolates
-  /// it from the previous epoch (hardware-barrier rendezvous in full
-  /// mode, software group rendezvous in group mode, zeroing the slots
-  /// when the layout changed), and advances the epoch.
-  void begin_data_op(std::size_t slot_payload, std::size_t n_slots);
-  /// Group mode: quiesce the previous epoch without touching the
-  /// world-wide hardware barrier (fence + dissemination over the
-  /// control-arena words; same delivery guarantee for members).
-  void group_rendezvous();
-  /// Group mode: replace the data area with a fresh zero-filled
-  /// registered allocation of >= `need` bytes and re-exchange member
-  /// base addresses through the control arena. The old area is kept
-  /// (never freed), so straggler writes and stale remote region
-  /// handles stay harmless. Callers are synchronized (begin_data_op).
-  void group_grow(std::size_t need);
-  /// Where slot `slot` of member `to` / of me lives this epoch.
-  armci::RemotePtr slot_remote(int to, std::size_t slot);
-  std::byte* slot_local(std::size_t slot);
-  void send(int to, std::size_t slot, const void* data, std::size_t bytes);
-  /// Non-blocking send for all-to-all overlap; `stage` must stay live
-  /// (hdr() + bytes capacity) until the next epoch's rendezvous — under
-  /// slot checksums the receiver may re-fetch the payload from it.
-  void send_nb(int to, std::size_t slot, const void* data, std::size_t bytes,
-               std::byte* stage, armci::Handle& handle);
-  /// Blocks until this epoch's message lands in `slot`; returns its
-  /// payload (valid until the next invocation), verified and repaired
-  /// under slot checksums (SlotTransport::open).
-  const std::byte* recv_wait(std::size_t slot, std::size_t bytes);
-  /// The schedule hop interface (schedule.hpp) over send / recv_wait.
-  class Blocking;
+  // Arenas (coll.cpp).
+  /// Opens the next block of `slots` slots of `payload` bytes in `a`,
+  /// wrapping it first when the block does not fit.
+  Block open_block(SlotArena& a, Op op, const char* name, std::size_t payload,
+                   std::size_t slots);
+  /// Opens a block in the blocking arena and returns its hops.
+  BlockHops begin(Op op, std::size_t payload, std::size_t slots);
+  /// The wrap: drive open i-ops home (non-blocking arena), wipe, one
+  /// fenced rendezvous, rewind — or grow when `need` exceeds capacity.
+  void wrap(SlotArena& a, std::size_t need, std::size_t pitch);
+  /// The growing wrap: a fresh zero-filled area of >= `need` bytes.
+  /// World arenas re-allocate collectively (the free/malloc barriers
+  /// are the rendezvous); a group rendezvouses, allocates locally and
+  /// exchanges bases over the control block.
+  void grow(SlotArena& a, std::size_t need);
+  /// The wrap's rendezvous: the hardware barrier, or in group mode a
+  /// fenced dissemination over the control block, whose two halves
+  /// alternate so a fast member's next rendezvous cannot overwrite a
+  /// signal a slow one has not consumed.
+  void rendezvous();
   /// Aborts unless this engine is a member of its group.
   void require_member() const;
 
-  // Barrier-word transport (fixed region at the base of the arena).
-  void put_word(int to, int word, std::uint64_t value);
-  void wait_word(int word, std::uint64_t at_least);
+  // Non-blocking collectives (coll.cpp).
+  fut::Future<fut::Unit> start(Op kind, const char* name, std::byte* data,
+                               std::size_t bytes, int root, std::size_t slots);
+  /// Steps every open op in initiation order; completed ops fulfill
+  /// their futures. Re-entrancy-guarded (a checksum re-fetch blocks
+  /// briefly, and its progress re-enters here).
+  void step_all();
+  /// Advances one op; true when complete.
+  bool step(IOp& op);
+  void sample_gauge();
 
-  // Barrier schedules (coll.cpp).
+  // Dispatch (coll.cpp).
   void run_barrier(Algo algo);
-  void barrier_dissemination();
-  void barrier_tree();
-  void barrier_ring();
+  /// reduce_sum (result at `root`) or allreduce_sum (`op` says which).
+  void reduce(Op op, double* x, std::size_t n, int root);
 
   // Software data schedules (algorithms.cpp).
   void bcast_binomial(std::byte* data, std::size_t bytes, int root);
@@ -203,8 +220,12 @@ class CollEngine {
   void allgather_binomial(const std::byte* in, std::size_t bytes, std::byte* out);
   void allgather_recdbl(const std::byte* in, std::size_t bytes, std::byte* out);
   void allgather_ring(const std::byte* in, std::size_t bytes, std::byte* out);
-  void alltoall_pairwise_xor(const std::byte* in, std::size_t bytes, std::byte* out);
-  void alltoall_torus(const std::byte* in, std::size_t bytes, std::byte* out);
+  /// Targets in send (and receive) order: XOR-pairwise (kRecdbl) or
+  /// torus-hop nearest-first (kTorusRing).
+  std::vector<int> alltoall_order(Algo algo) const;
+  /// Personalized exchange in `order`; slot = source position.
+  void alltoall_exchange(const std::byte* in, std::size_t bytes, std::byte* out,
+                         const std::vector<int>& order);
 
   // Hierarchical node-aware schedules (hier.cpp): intra-node combine
   // over the shared-memory path, inter-node step via the leaders
@@ -262,10 +283,6 @@ class CollEngine {
   /// the machine mapping instead).
   std::vector<std::vector<int>> member_digits_;
   std::map<std::vector<int>, int> digit_index_;
-  /// Registered data area (slots) + each member's published base.
-  std::byte* data_local_ = nullptr;
-  std::size_t data_cap_ = 0;
-  std::vector<std::byte*> peer_data_;
   /// Where OpTimer accounts this engine's ops: the world CollStats, or
   /// the per-group table keyed by label_.
   armci::CollStats* stats_ = nullptr;
@@ -274,27 +291,23 @@ class CollEngine {
   std::unique_ptr<CollEngine> hier_node_;
   std::unique_ptr<CollEngine> hier_leaders_;
 
-  armci::GlobalMem* scratch_ = nullptr;
-  std::size_t layout_ = 0;  ///< slot_bytes the arena is currently keyed to
-  std::size_t slot_bytes_ = 0;
-  std::size_t n_slots_ = 0;
-  /// Slot codec, retained-stage pool and trace track. Stages retire at
-  /// each epoch's rendezvous and are never freed, so straggler
+  /// The blocking arena, its slot codec and stage pool, and the
+  /// engine's trace track. Stages are never freed, so straggler
   /// re-fetches after a rebuild_shrunk still read live memory.
-  SlotTransport slots_;
-  std::uint64_t epoch_ = 0;       ///< flag value of the open invocation
-  std::uint64_t barrier_seq_ = 0; ///< software-barrier flag value
+  SlotArena slots_;
+  /// Group mode: the world-collective control block (two rendezvous
+  /// halves, then the member address slots), staging in slots_'s pool,
+  /// and its sequence number.
+  std::unique_ptr<SlotArena> ctl_;
+  std::uint32_t ctl_rounds_ = 0;
+  std::uint32_t ctl_seq_ = 0;
   bool in_alloc_ = false;  ///< inside malloc/free_collective: the
                            ///< barrier hook must not re-enter the engine
-  /// Registered (malloc_local) staging buffers so collective messages
-  /// take the RDMA path: a reusable one for blocking sends (rput
-  /// snapshots the source at injection) and a per-message area for
-  /// the non-blocking all-to-all fan-out.
-  std::byte* grow_local(std::byte*& buf, std::size_t& capacity, std::size_t need);
-  std::byte* send_buf_ = nullptr;
-  std::size_t send_cap_ = 0;
-  std::byte* stage_all_ = nullptr;
-  std::size_t stage_cap_ = 0;
+
+  /// The non-blocking side, built at the first i-op. (The engine's
+  /// size sets where later heap blocks land, and address-keyed
+  /// registration makes virtual time depend on that: DESIGN.md §5.)
+  std::unique_ptr<Nbc> nbc_;
 };
 
 }  // namespace pgasq::coll

@@ -1,13 +1,14 @@
-// Collective schedules shared by CollEngine and NbcEngine, written
-// once as resumable step functions over a two-call hop interface. A
-// step sends and receives in schedule order until a receive has not
-// landed (Hops::recv returns nullptr), then returns false; called
-// again with the same state it resumes at that receive. CollEngine's
-// recv blocks, so its steps run straight through; NbcEngine's steps
-// advance one progress pass at a time. Both issue the same hops and
-// fold in the same order, so iallreduce is bitwise equal to the
-// blocking recursive-doubling allreduce by construction. Positions
-// (me, to, root) are schedule positions 0..p-1.
+// Collective schedules written as resumable step functions over a
+// two-call hop interface. A step sends and receives in schedule order
+// until a receive has not landed (Hops::recv returns nullptr), then
+// returns false; called again with the same state it resumes at that
+// receive. A blocking op's recv waits, so its steps run straight
+// through; a non-blocking op's steps advance one progress pass at a
+// time. Both issue the same hops and fold in the same order, so
+// iallreduce is bitwise equal to the blocking recursive-doubling
+// allreduce and ibarrier is the dissemination barrier, by
+// construction. Positions (me, to, root) are schedule positions
+// 0..p-1.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +28,27 @@ class Hops {
  protected:
   ~Hops() = default;
 };
+
+/// Resumable state of a step function.
+struct StepState {
+  int phase = 0;      ///< schedule phase
+  int vr = 0;         ///< recursive doubling: core virtual rank (-1: lent out)
+  int round = 0;      ///< current round
+  bool sent = false;  ///< current round's send already issued
+};
+
+/// Dissemination barrier, slot r per round: round r signals
+/// (me + 2^r) and consumes (me - 2^r)'s signal, so after ceil(log2 p)
+/// rounds everyone has transitively heard from everyone.
+bool barrier_dissemination_step(Hops& hops, StepState& s, int p, int me);
+/// Binomial-tree barrier: gather up the tree rooted at 0 (the child
+/// joining via bit k signals slot k), then release back down through
+/// slot ceil(log2 p).
+bool barrier_tree_step(Hops& hops, StepState& s, int p, int me);
+/// Ring barrier: a token circulates 0 -> 1 -> ... -> p-1 -> 0 through
+/// slot 0, then a release pass chases it through slot 1. O(p)
+/// latency: the ablation baseline.
+bool barrier_ring_step(Hops& hops, StepState& s, int p, int me);
 
 /// Binomial-tree broadcast of data[0..bytes) from `root` through slot
 /// `slot`: each non-root receives once, then fans out to its children
@@ -54,21 +76,13 @@ struct Fold {
   int rem = 0;
 };
 
-/// Resumable state of a recursive-doubling allreduce.
-struct RecdblState {
-  int phase = 0;  ///< 0 pre-fold, 1 exchange rounds, 2 post-fold
-  int vr = 0;     ///< core virtual rank (-1: lent out)
-  int round = 0;  ///< current exchange round
-  bool sent = false;  ///< current round's send already issued
-};
-
 /// Slots a recursive-doubling allreduce over p positions uses: 0 =
 /// pre-fold, 1+r = exchange rounds, 1+rounds = post-fold.
 std::size_t allreduce_recdbl_slots(int p);
 /// Recursive-doubling allreduce (sum) of x[0..n) in place. Partners
 /// compute a+b and b+a — bitwise equal — so every position ends with
 /// one identical vector.
-bool allreduce_recdbl_step(Hops& hops, RecdblState& s, int p, int me, double* x,
+bool allreduce_recdbl_step(Hops& hops, StepState& s, int p, int me, double* x,
                            std::size_t n);
 
 }  // namespace pgasq::coll

@@ -1,5 +1,6 @@
 #include "coll/slot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -17,6 +18,17 @@ namespace {
 // of exhausting the bound is q^16 — unreachable for any sane plan. A
 // payload still failing after this many fetches is a logic error.
 constexpr int kMaxSlotRefetches = 16;
+
+// A slot header under slot checksums; without them only `flag` is sent.
+struct Header {
+  std::uint64_t flag;
+  std::uint32_t crc;  ///< crc32c of the payload
+  std::uint32_t len;  ///< payload bytes
+  std::int32_t src;   ///< sender's world rank
+  std::int32_t pad;
+  std::uint64_t addr;  ///< the payload in the sender's retained stage
+};
+static_assert(sizeof(Header) == 32);
 
 // Causal-trace id of the hop of invocation `seq` into `slot` of world
 // rank `recv_rank`; sender and receiver compute it independently, so
@@ -38,10 +50,13 @@ int ceil_log2(int p) {
   return rounds;
 }
 
-SlotTransport::SlotTransport(armci::Comm& comm, const SlotNames& names,
-                             std::uint64_t salt,
-                             const std::function<std::string()>& track_name)
-    : comm_(comm), names_(names), salt_(static_cast<std::uint32_t>(salt)) {
+SlotArena::SlotArena(armci::Comm& comm, const std::vector<int>& members,
+                     const SlotNames& names, std::uint64_t salt,
+                     const std::function<std::string()>& track_name)
+    : comm_(comm),
+      members_(members),
+      names_(names),
+      salt_(static_cast<std::uint32_t>(salt)) {
   pami::Machine& machine = comm.world().machine();
   fault::Integrity* integrity = machine.integrity();
   if (integrity != nullptr && integrity->config().coll_check) {
@@ -55,91 +70,151 @@ SlotTransport::SlotTransport(armci::Comm& comm, const SlotNames& names,
   }
 }
 
-std::byte* SlotTransport::stage(std::size_t bytes) {
+SlotArena::SlotArena(SlotArena& owner)
+    : comm_(owner.comm_),
+      members_(owner.members_),
+      names_(owner.names_),
+      integrity_(owner.integrity_),
+      salt_(owner.salt_),
+      pool_(&owner) {}
+
+void SlotArena::attach(std::byte* local, std::size_t cap,
+                       std::vector<std::byte*> peers) {
+  local_ = local;
+  cap_ = cap;
+  dirty_ = 0;
+  peers_ = std::move(peers);
+}
+
+armci::RemotePtr SlotArena::remote(int v, std::size_t off) const {
+  const int w = members_.empty() ? v : members_[static_cast<std::size_t>(v)];
+  if (mem_ != nullptr) return mem_->at(w, off);
+  return {w, peers_[static_cast<std::size_t>(v)] + off};
+}
+
+std::byte* SlotArena::local(std::size_t off) const {
+  return (mem_ != nullptr ? mem_->local(comm_.rank()) : local_) + off;
+}
+
+Block SlotArena::open(std::uint64_t kind, const char* op, std::size_t payload,
+                      std::size_t slots) {
+  const std::size_t bytes = block_bytes(payload, slots);
+  PGASQ_CHECK(fits(bytes));
+  const Block b{(++seq_ << 4) | kind, cursor_,
+                bytes / slots, slots, op};
+  const bool uniform = cursor_ == 0 || b.pitch == first_pitch_;
+  first_pitch_ = uniform ? static_cast<std::uint32_t>(b.pitch) : 0;
+  cursor_ += bytes;
+  dirty_ = std::max(dirty_, cursor_);
+  return b;
+}
+
+void SlotArena::wipe(std::size_t pitch, std::size_t bytes) {
+  if (cursor_ == bytes && first_pitch_ == pitch && dirty_ == bytes) return;
+  std::memset(local(0), 0, dirty_);
+  dirty_ = 0;
+}
+
+void SlotArena::rewind() {
+  retire_stages();
+  if (cursor_ > 0) ++wraps_;
+  cursor_ = 0;
+}
+
+std::byte* SlotArena::stage(std::size_t bytes, bool keep) {
   const std::size_t need = (hdr() + bytes + 7) & ~std::size_t{7};
   if (blocks_.empty() || blocks_.back().second - used_ < need) {
     std::size_t cap =
         blocks_.empty() ? std::size_t{16} * 1024 : blocks_.back().second * 2;
     while (cap < need) cap *= 2;
+    if (used_ == 0 && !blocks_.empty()) {  // it retains nothing: replace it
+      comm_.free_local(blocks_.back().first);
+      blocks_.pop_back();
+    }
     blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(cap)), cap);
     used_ = 0;
   }
   std::byte* p = blocks_.back().first + used_;
-  used_ += need;
+  if (keep) used_ += static_cast<std::uint32_t>(need);
   return p;
 }
 
-void SlotTransport::retire_stages() {
+void SlotArena::retire_stages() {
   if (blocks_.size() > 1) {
     // Coalesce into one block covering everything the last cycle used,
     // so steady state bump-allocates without fresh registrations.
     std::size_t total = 0;
-    for (const auto& [ptr, cap] : blocks_) {
-      total += cap;
-      comm_.free_local(ptr);
-    }
-    blocks_.clear();
-    blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(total)),
-                         total);
+    for (const auto& [ptr, cap] : blocks_) total += cap;
+    release_stages();
+    blocks_.emplace_back(static_cast<std::byte*>(comm_.malloc_local(total)), total);
   }
   used_ = 0;
 }
 
-void SlotTransport::release_stages() {
+void SlotArena::release_stages() {
   for (const auto& [ptr, cap] : blocks_) comm_.free_local(ptr);
   blocks_.clear();
   used_ = 0;
 }
 
-void SlotTransport::seal(std::byte* stage, std::uint64_t flag,
-                         const void* data, std::size_t bytes) const {
-  const std::size_t hdr = this->hdr();
+void SlotArena::send(const Block& b, int to, std::size_t slot, const void* data,
+                     std::size_t bytes, armci::Handle* nb) {
+  PGASQ_CHECK(slot < b.slots && hdr() + bytes <= b.pitch);
+  const std::size_t hdr = bytes == 0 ? 8 : this->hdr();
+  std::byte* stage = pool_->stage(bytes, nb != nullptr || hdr > 8);
   if (bytes > 0) std::memcpy(stage + hdr, data, bytes);
-  std::memcpy(stage, &flag, 8);
-  if (hdr == 8) return;
-  const std::uint32_t crc = crc32c(stage + hdr, bytes);
-  const std::uint32_t len = static_cast<std::uint32_t>(bytes);
-  const std::int32_t src = comm_.rank();
-  const std::int32_t pad = 0;
-  const std::uint64_t addr = reinterpret_cast<std::uint64_t>(stage + hdr);
-  std::memcpy(stage + 8, &crc, 4);
-  std::memcpy(stage + 12, &len, 4);
-  std::memcpy(stage + 16, &src, 4);
-  std::memcpy(stage + 20, &pad, 4);
-  std::memcpy(stage + 24, &addr, 8);
+  const Header h{b.flag, hdr > 8 ? crc32c(stage + hdr, bytes) : 0,
+                 static_cast<std::uint32_t>(bytes), comm_.rank(), 0,
+                 reinterpret_cast<std::uint64_t>(stage + hdr)};
+  std::memcpy(stage, &h, hdr);
+  const armci::RemotePtr dst = remote(to, b.base + slot * b.pitch);
+  if (trace_ != nullptr) {
+    trace_->flow_point('s', track_, names_.hop,
+                       hop_flow_id(salt_, b.flag >> 4, slot, dst.rank), comm_.now(),
+                       {{"bytes", std::to_string(bytes)},
+                        {"to", "rank" + std::to_string(dst.rank)},
+                        {"op", b.op}});
+  }
+  ++hops_;
+  if (nb != nullptr) {
+    comm_.nb_put(stage, dst, hdr + bytes, *nb);
+  } else {
+    comm_.put(stage, dst, hdr + bytes);
+  }
 }
 
-void SlotTransport::trace_send(int to, std::uint64_t seq, std::size_t slot,
-                               std::size_t bytes, const char* op) const {
-  if (trace_ == nullptr) return;
-  sim::TraceArgs args{{"bytes", std::to_string(bytes)},
-                      {"to", "rank" + std::to_string(to)}};
-  if (op != nullptr) args.emplace_back("op", op);
-  trace_->flow_point('s', track_, names_.hop, hop_flow_id(salt_, seq, slot, to),
-                     comm_.now(), std::move(args));
+const std::byte* SlotArena::wait(const Block& b, std::size_t slot,
+                                 std::size_t bytes) {
+  const volatile std::uint64_t* f = flag(b, slot);
+  const std::uint64_t seq = b.flag >> 4;
+  comm_.poll_until([f, seq] { return (*f >> 4) >= seq; }, armci::Comm::kPollSlice);
+  return landed(b, slot, bytes);
 }
 
-const std::byte* SlotTransport::open(std::byte* base, std::uint64_t seq,
-                                     std::size_t slot, std::size_t bytes) {
+const std::byte* SlotArena::landed(const Block& b, std::size_t slot,
+                                   std::size_t bytes) {
+  PGASQ_CHECK(slot < b.slots && hdr() + bytes <= b.pitch);
+  std::byte* base = local(b.base + slot * b.pitch);
+  const std::uint64_t got = *flag(b, slot);
+  if (got != b.flag && (got >> 4) < (b.flag >> 4)) return nullptr;  // not landed
+  PGASQ_CHECK(got == b.flag,
+              << names_.slot << " " << slot << " of " << b.op << " #" << (b.flag >> 4)
+              << " holds flag " << got << ", expected " << b.flag
+              << " — ranks started different collective sequences (divergence)");
   const std::size_t hdr = this->hdr();
-  if (integrity_ != nullptr) {
+  if (integrity_ != nullptr && bytes > 0) {
     fault::IntegrityStats& is = integrity_->stats();
     ++is.coll_slot_checks;
-    std::uint32_t want = 0, len = 0;
-    std::int32_t src = -1;
-    std::uint64_t addr = 0;
-    std::memcpy(&want, base + 8, 4);
-    std::memcpy(&len, base + 12, 4);
-    std::memcpy(&src, base + 16, 4);
-    std::memcpy(&addr, base + 24, 8);
-    PGASQ_CHECK(len == bytes, << names_.slot << " " << slot << " header claims "
-                              << len << " bytes, expected " << bytes);
+    Header h;
+    std::memcpy(&h, base, sizeof h);
+    PGASQ_CHECK(h.len == bytes, << names_.slot << " " << slot << " header claims "
+                                << h.len << " bytes, expected " << bytes);
     int refetches = 0;
-    while (crc32c(base + hdr, bytes) != want) {
+    while (crc32c(base + hdr, bytes) != h.crc) {
       ++is.coll_slot_rejects;
       PGASQ_CHECK(++refetches <= kMaxSlotRefetches,
                   << names_.slot << " " << slot << " payload failed its CRC "
-                  << refetches << " times (re-fetched from rank " << src
+                  << refetches << " times (re-fetched from rank " << h.src
                   << "); giving up");
       ++is.coll_slot_refetches;
       if (trace_ != nullptr) {
@@ -147,12 +222,12 @@ const std::byte* SlotTransport::open(std::byte* base, std::uint64_t seq,
       }
       // Blocking, but bounded and rare. The re-fetch rides the wire
       // too and may itself be corrupted, so re-verify until clean.
-      comm_.get({src, reinterpret_cast<std::byte*>(addr)}, base + hdr, bytes);
+      comm_.get({h.src, reinterpret_cast<std::byte*>(h.addr)}, base + hdr, bytes);
     }
   }
   if (trace_ != nullptr) {
     trace_->flow_point('f', track_, names_.hop_recv,
-                       hop_flow_id(salt_, seq, slot, comm_.rank()), comm_.now(),
+                       hop_flow_id(salt_, b.flag >> 4, slot, comm_.rank()), comm_.now(),
                        {{"bytes", std::to_string(bytes)}});
   }
   return base + hdr;

@@ -211,7 +211,6 @@ void Comm::finalize() {
   grp_slot_.reset();
   barrier_hook_ = nullptr;
   coll_slot_.reset();
-  nbc_slot_.reset();
   // Async runtime last: the collectives teardown above may still have
   // drained nbc completions through the hook. The quiescence check
   // aborts on abandoned continuations (chained work that can never
@@ -347,9 +346,9 @@ void Comm::progress_until(const std::function<bool()>& pred) {
     if (ctx.has_work()) continue;
     // Open non-blocking collectives complete through one-sided flag
     // writes that post no context item: parking would sleep through
-    // the landing. Poll instead, at the collectives engine's cadence.
+    // the landing. Poll instead, at the flag-poll cadence.
     if (async_poll_ && async_poll_() == AsyncWork::kPolling) {
-      compute(from_ns(200));
+      compute(kPollSlice);
       continue;
     }
     // Park (lock released) until the next delivery; every event this

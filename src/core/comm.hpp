@@ -236,6 +236,11 @@ class Comm {
   /// Waits for local completion of all implicit non-blocking ops.
   void wait_all();
 
+  /// Virtual compute time between two polls of a one-sided flag: the
+  /// cadence of the collectives' blocking waits (poll_until slices)
+  /// and of progress_until while a poll-driven source is open.
+  static constexpr Time kPollSlice = from_ns(200);
+
   /// Spins progress passes (advancing virtual time) until `pred`
   /// returns true. The async runtime's future waits and the
   /// non-blocking collectives drain on this.
@@ -302,7 +307,10 @@ class Comm {
   // --- Collectives-subsystem attachment (src/coll) ----------------------------
 
   /// Opaque per-rank slot owned by coll::CollEngine (core never looks
-  /// inside; reset at finalize so the engine detaches before teardown).
+  /// inside; reset at finalize so the engine detaches before teardown,
+  /// and before the async runtime's quiescence check: an open
+  /// non-blocking collective at that point still counts as a pending
+  /// future and aborts).
   std::shared_ptr<void>& coll_slot() { return coll_slot_; }
   /// Installed by the engine: when set, barrier() dispatches through
   /// the engine's algorithm selection instead of calling barrier_hw().
@@ -320,11 +328,6 @@ class Comm {
   CollStats& group_coll_stats(const std::string& label) {
     return stats_.group_coll[label];
   }
-  /// Opaque per-rank slot owned by coll::NbcEngine (the non-blocking
-  /// collectives engine). Reset at finalize after the blocking engine
-  /// but before the async runtime's quiescence check: an open nbc op
-  /// at that point still counts as a pending future and aborts.
-  std::shared_ptr<void>& nbc_slot() { return nbc_slot_; }
 
   // --- Async-runtime attachment (src/async) -----------------------------------
 
@@ -528,7 +531,6 @@ class Comm {
   /// gets an entry on its first notify.
   std::unordered_map<RankId, std::uint64_t> notifications_;
   std::shared_ptr<void> coll_slot_;
-  std::shared_ptr<void> nbc_slot_;
   std::function<void()> barrier_hook_;
   std::shared_ptr<void> grp_slot_;
   std::function<void(const std::vector<int>&)> shrink_hook_;

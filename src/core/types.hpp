@@ -145,7 +145,7 @@ struct CollStats {
   std::uint64_t bytes[kOps][kAlgos] = {};
   /// Virtual time the rank spent inside the collective.
   Time time[kOps][kAlgos] = {};
-  /// Times the engine's persistent scratch heap had to grow.
+  /// Times the world engine's blocking slot arena had to grow.
   std::uint64_t scratch_reallocs = 0;
 
   std::uint64_t total_ops() const;

@@ -1,7 +1,7 @@
 #include "ga/collectives.hpp"
 
 #include "coll/coll.hpp"
-#include "coll/nbc.hpp"
+#include "coll/coll.hpp"
 #include "grp/group.hpp"
 #include "util/error.hpp"
 
@@ -51,7 +51,7 @@ double element_sum(GlobalArray& a, grp::ProcGroup* group) {
 fut::Future<fut::Unit> ielement_sum(GlobalArray& a, double* out) {
   PGASQ_CHECK(out != nullptr);
   *out = local_element_sum(a);
-  return coll::NbcEngine::of(a.comm()).iallreduce_sum(out, 1);
+  return coll::CollEngine::of(a.comm()).iallreduce_sum(out, 1);
 }
 
 double dot(GlobalArray& a, GlobalArray& b, grp::ProcGroup* group) {

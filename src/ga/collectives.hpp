@@ -38,7 +38,7 @@ double element_sum(GlobalArray& a, grp::ProcGroup* group = nullptr);
 
 /// Non-blocking element_sum: computes the local partial into `*out`
 /// immediately, then reduces it through the non-blocking collectives
-/// engine (coll::NbcEngine). `*out` holds the global sum once the
+/// engine (coll::CollEngine). `*out` holds the global sum once the
 /// returned future is ready; until then the caller must keep it alive
 /// and untouched. Collective over the world clique, initiation-order
 /// discipline applies (docs/async.md). When the blocking engine is

@@ -1,5 +1,5 @@
 // The async completion runtime (src/async) and the non-blocking
-// collectives engine (coll::NbcEngine): then-chaining determinism
+// collectives (coll::CollEngine): then-chaining determinism
 // across seeds, when_all/when_any aggregation (futures and handle
 // sets), non-blocking collectives matching their blocking counterparts
 // bitwise at awkward (prime) rank counts, fault transparency under
@@ -9,13 +9,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "async/async.hpp"
 #include "coll/coll.hpp"
-#include "coll/nbc.hpp"
 #include "core/world.hpp"
 #include "fault/fault.hpp"
 #include "util/error.hpp"
@@ -244,7 +244,7 @@ std::vector<std::uint64_t> allreduce_bits_nbc(int p, std::uint64_t seed,
     if (nonblocking) {
       async::Runtime& rt = async::Runtime::of(comm);
       fut::Future<fut::Unit> f =
-          coll::NbcEngine::of(comm).iallreduce_sum(&x, 1);
+          coll::CollEngine::of(comm).iallreduce_sum(&x, 1);
       rt.wait(f);
     } else {
       coll::CollEngine::of(comm).allreduce_sum(&x, 1);
@@ -279,7 +279,7 @@ TEST(Nbc, IbcastDeliversPayloadAtPrimeRanks) {
         }
       }
       fut::Future<fut::Unit> f =
-          coll::NbcEngine::of(comm).ibcast(buf.data(), buf.size(), root);
+          coll::CollEngine::of(comm).ibcast(buf.data(), buf.size(), root);
       rt.wait(f);
       for (std::size_t i = 0; i < buf.size(); ++i) {
         ASSERT_EQ(buf[i], static_cast<std::byte>(i * 7 + 3)) << "byte " << i;
@@ -293,7 +293,7 @@ TEST(Nbc, IbarrierCompletes) {
   armci::World world(make_cfg(4));
   world.spmd([](armci::Comm& comm) {
     async::Runtime& rt = async::Runtime::of(comm);
-    coll::NbcEngine& nbc = coll::NbcEngine::of(comm);
+    coll::CollEngine& nbc = coll::CollEngine::of(comm);
     fut::Future<fut::Unit> f = nbc.ibarrier();
     rt.wait(f);
     EXPECT_TRUE(f.ready());
@@ -305,7 +305,7 @@ TEST(Nbc, OpsOverlapWithOneSidedTraffic) {
   armci::World world(make_cfg(7));
   world.spmd([](armci::Comm& comm) {
     async::Runtime& rt = async::Runtime::of(comm);
-    coll::NbcEngine& nbc = coll::NbcEngine::of(comm);
+    coll::CollEngine& nbc = coll::CollEngine::of(comm);
     auto& mem = comm.malloc_collective(256);
     auto* slot = reinterpret_cast<double*>(mem.local(comm.rank()));
     slot[0] = 1.0 + comm.rank();
@@ -349,6 +349,139 @@ TEST(NbcFaults, LossAndCorruptionAreTransparent) {
     const auto faulty = allreduce_bits_nbc(p, 42, true, plan);
     EXPECT_EQ(clean, faulty) << p << " ranks: faults changed the payload";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Blocking and non-blocking collectives share one slot-arena transport
+// with two arenas. Interleaved under loss and landed corruption (slot
+// checksums re-fetch from the sender's retained stage), both arenas
+// wrap many times and every result stays bitwise exact.
+
+TEST(NbcArena, InterleavedOpsWrapBothArenasUnderFaults) {
+  constexpr int p = 7;
+  constexpr std::size_t n = 256;
+  constexpr int kRounds = 24;
+  armci::WorldConfig cfg = make_cfg(p);
+  cfg.armci.coll.emplace_back("algo.allreduce", "recdbl");
+  cfg.machine.fault.seed = 9;
+  cfg.machine.fault.drop_prob = 0.01;
+  cfg.machine.fault.corrupt_prob = 0.02;
+  cfg.machine.integrity.configured = true;
+  cfg.machine.integrity.verify = false;  // let flips land in the slots
+  armci::World world(cfg);
+  std::uint64_t wraps[2] = {};
+  world.spmd([&](armci::Comm& comm) {
+    async::Runtime& rt = async::Runtime::of(comm);
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    const int me = comm.rank();
+    // Integer-valued doubles: every sum is exact, so each result has
+    // one right bit pattern whatever the fold order.
+    const auto fill = [me](std::vector<double>& x, int round, int salt) {
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 3.0 * me + static_cast<double>(i) + 100.0 * round + salt;
+      }
+    };
+    const auto expect_sum = [](const std::vector<double>& x, int round, int salt,
+                               const char* what) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = 3.0 * p * (p - 1) / 2 +
+                            p * (static_cast<double>(i) + 100.0 * round + salt);
+        ASSERT_EQ(x[i], want) << what << " element " << i << " round " << round;
+      }
+    };
+    std::vector<double> a(n), b(n), c(n);
+    for (int round = 0; round < kRounds; ++round) {
+      fill(a, round, 1);
+      fill(b, round, 2);
+      fill(c, round, 3);
+      // An i-op open across a blocking op and across the next i-op's
+      // initiation (which may wrap the non-blocking arena).
+      fut::Future<fut::Unit> fa = engine.iallreduce_sum(a.data(), n);
+      engine.allreduce_sum(b.data(), n);
+      fut::Future<fut::Unit> fc = engine.iallreduce_sum(c.data(), n);
+      rt.wait(fa);
+      rt.wait(fc);
+      expect_sum(a, round, 1, "iallreduce a");
+      expect_sum(b, round, 2, "allreduce b");
+      expect_sum(c, round, 3, "iallreduce c");
+    }
+    if (me == 0) {
+      wraps[0] = engine.blocking_wraps();
+      wraps[1] = engine.nbc_wraps();
+    }
+    comm.barrier();
+  });
+  EXPECT_GT(wraps[0], 2u) << "the blocking arena never wrapped";
+  EXPECT_GT(wraps[1], 2u) << "the non-blocking arena never wrapped";
+  const fault::IntegrityStats& is = world.machine().integrity()->stats();
+  EXPECT_GT(is.coll_slot_refetches, 0u) << "no slot payload was re-fetched";
+}
+
+// Ranks that start different op sequences must abort with the
+// divergence diagnostic instead of mixing payloads or hanging.
+
+void expect_divergence(armci::WorldConfig cfg,
+                       const std::function<void(armci::Comm&)>& body) {
+  try {
+    armci::World world(cfg);
+    world.spmd(body);
+    FAIL() << "expected the divergence abort";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("(divergence)"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NbcArena, OppositeInitiationOrdersAbort) {
+  expect_divergence(make_cfg(3), [](armci::Comm& comm) {
+    async::Runtime& rt = async::Runtime::of(comm);
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    double x = 1.0;
+    double y = 2.0;
+    fut::Future<fut::Unit> f1, f2;
+    if (comm.rank() == 0) {
+      f1 = engine.ibcast(&x, sizeof x, 1);
+      f2 = engine.iallreduce_sum(&y, 1);
+    } else {
+      f1 = engine.iallreduce_sum(&y, 1);
+      f2 = engine.ibcast(&x, sizeof x, 1);
+    }
+    rt.wait(f1);
+    rt.wait(f2);
+  });
+}
+
+TEST(NbcArena, MismatchedBlockingOpsAbort) {
+  armci::WorldConfig cfg = make_cfg(3);
+  cfg.armci.coll = {{"hw", "0"}, {"algo.allreduce", "recdbl"},
+                    {"algo.broadcast", "binomial"}};
+  expect_divergence(cfg, [](armci::Comm& comm) {
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    double x = 1.0;
+    if (comm.rank() == 0) {
+      engine.allreduce_sum(&x, 1);
+    } else {
+      engine.broadcast(&x, sizeof x, 1);
+    }
+    comm.barrier();
+  });
+}
+
+// Blocking collectives never create the async runtime: only the first
+// non-blocking op (or an explicit Runtime::of) does.
+TEST(NbcArena, FirstNonBlockingOpCreatesTheRuntime) {
+  armci::World world(make_cfg(4));
+  world.spmd([](armci::Comm& comm) {
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    double x = comm.rank();
+    engine.allreduce_sum(&x, 1);
+    engine.barrier();
+    EXPECT_EQ(comm.async_slot(), nullptr);
+    async::Runtime::of(comm).wait(engine.iallreduce_sum(&x, 1));
+    EXPECT_NE(comm.async_slot(), nullptr);
+    EXPECT_EQ(x, 4 * 6.0);
+    comm.barrier();
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -400,6 +400,33 @@ TEST(GroupFaults, LossyFabricLeavesGroupResultsByteIdentical) {
   EXPECT_EQ(clean, lossy);
 }
 
+// A group's arena wraps through the control block's alternating
+// rendezvous halves and grows by re-exchanging member bases there;
+// loss skews the members, so a fast member's next rendezvous races a
+// slow one's.
+TEST(GroupArena, WrapsAndGrowthUnderLossKeepResultsExact) {
+  armci::WorldConfig cfg = make_cfg(7, 1, {{"hw", "0"}});
+  cfg.machine.fault.seed = 4;
+  cfg.machine.fault.drop_prob = 0.02;
+  armci::World world(cfg);
+  std::uint64_t wraps = 0;
+  world.spmd([&](armci::Comm& comm) {
+    const int me = comm.rank();
+    auto g = GroupRegistry::of(comm).split(me % 2, me);
+    for (int round = 0; round < 40; ++round) {
+      std::vector<double> x(static_cast<std::size_t>(8 + 16 * round), me + round);
+      g->allreduce_sum(x.data(), x.size());
+      double want = 0.0;
+      for (const int r : g->members()) want += r + round;
+      for (const double v : x) ASSERT_EQ(v, want) << "round " << round;
+      g->barrier();
+    }
+    if (me == 0) wraps = g->engine().blocking_wraps();
+    comm.barrier();
+  });
+  EXPECT_GT(wraps, 5u);
+}
+
 // ---------------------------------------------------------------------------
 // Fail-stop shrink: the canonical groups are rebuilt over the
 // survivors, user groups turn stale and reject collectives.

@@ -14,7 +14,6 @@
 
 #include "async/async.hpp"
 #include "coll/coll.hpp"
-#include "coll/nbc.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
 #include "fault/fault.hpp"
@@ -240,14 +239,15 @@ TEST(Integrity, RetryExhaustionOnCorruptionEscalatesToIntegrityError) {
 // reach application memory — including collective slots. The slot
 // checksum must detect the mid-tree corruption and re-request the slot
 // from the sender's retained stage, so reductions and broadcasts still
-// come out exact. Both engines share the slot transport; each runs in
-// its own World so its repair counters stand alone.
+// come out exact. Blocking and non-blocking collectives share the slot
+// transport; each runs in its own World so its repair counters stand
+// alone.
 TEST(Integrity, SilentDeliveryCollSlotRepair) {
   constexpr int kRanks = 7;
   constexpr std::size_t kN = 512;
   constexpr std::size_t kBcastBytes = 4096;
   for (const bool nonblocking : {false, true}) {
-    const char* engine = nonblocking ? "NbcEngine" : "CollEngine";
+    const char* engine = nonblocking ? "non-blocking" : "blocking";
     WorldConfig cfg = line(kRanks);
     cfg.machine.fault.seed = 21;
     cfg.machine.fault.corrupt_prob = 0.05;
@@ -262,7 +262,7 @@ TEST(Integrity, SilentDeliveryCollSlotRepair) {
         }
         if (nonblocking) {
           async::Runtime::of(comm).wait(
-              coll::NbcEngine::of(comm).iallreduce_sum(x.data(), x.size()));
+              coll::CollEngine::of(comm).iallreduce_sum(x.data(), x.size()));
         } else {
           coll::CollEngine::of(comm).allreduce_sum(x.data(), x.size());
         }
@@ -283,7 +283,7 @@ TEST(Integrity, SilentDeliveryCollSlotRepair) {
           }
         }
         async::Runtime::of(comm).wait(
-            coll::NbcEngine::of(comm).ibcast(buf.data(), buf.size(), root));
+            coll::CollEngine::of(comm).ibcast(buf.data(), buf.size(), root));
         for (std::size_t i = 0; i < kBcastBytes; ++i) {
           ASSERT_EQ(buf[i], static_cast<std::byte>(i * 7 + static_cast<std::size_t>(round)))
               << "ibcast byte " << i << " round " << round << " on rank "

@@ -10,7 +10,6 @@
 
 #include "async/async.hpp"
 #include "coll/coll.hpp"
-#include "coll/nbc.hpp"
 #include "core/comm.hpp"
 #include "core/report.hpp"
 #include "ft/liveness.hpp"
@@ -325,7 +324,7 @@ TEST(Report, GoldenObservabilityOutputs) {
       for (int k = 0; k < 8; ++k) x[k] = comm.rank() + k;
       coll::CollEngine::of(comm).allreduce_sum(x, 8);
       double y = comm.rank();
-      async::Runtime::of(comm).wait(coll::NbcEngine::of(comm).iallreduce_sum(&y, 1));
+      async::Runtime::of(comm).wait(coll::CollEngine::of(comm).iallreduce_sum(&y, 1));
       ft::Runtime rt(comm, {}, std::vector<ga::GlobalArray*>{});
       int i = 0;
       while (i < 50) {
