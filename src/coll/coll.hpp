@@ -292,8 +292,8 @@ class CollEngine {
   std::unique_ptr<CollEngine> hier_leaders_;
 
   /// The blocking arena, its slot codec and stage pool, and the
-  /// engine's trace track. Stages are never freed, so straggler
-  /// re-fetches after a rebuild_shrunk still read live memory.
+  /// engine's trace track. The engine never releases the pool, so
+  /// straggler re-fetches after a rebuild_shrunk still read live memory.
   SlotArena slots_;
   /// Group mode: the world-collective control block (two rendezvous
   /// halves, then the member address slots), staging in slots_'s pool,

@@ -176,7 +176,13 @@ struct Comm::AckClosure {
 Comm::Comm(World& world, pami::Process& process)
     : world_(world), process_(process) {}
 
-Comm::~Comm() = default;
+Comm::~Comm() {
+  // As in finalize(), which an aborted SPMD body never reaches: groups,
+  // then the collectives engine, go before the async runtime whose
+  // poller the engine unregisters.
+  grp_slot_.reset();
+  coll_slot_.reset();
+}
 
 void Comm::init() {
   const Options& opt = options();
