@@ -512,8 +512,6 @@ void CollEngine::alltoall_exchange(const std::byte* in, std::size_t bytes,
     std::memcpy(out + f * bytes, hops.recv(f, bytes), bytes);
   }
   comm_.wait(handle);
-  // Drained: without slot checksums nobody re-fetches from the stages.
-  if (!slots_.checksums()) slots_.retire_stages();
 }
 
 }  // namespace pgasq::coll

@@ -566,8 +566,9 @@ bool CollEngine::step(IOp& op) {
     }
   }
   // Completion: the schedule consumed every receive AND every injected
-  // hop drained locally. (Stages stay retained for re-fetch until the
-  // next wrap regardless; the drain condition rate-limits initiation.)
+  // hop drained locally. (Checksummed hops' stages stay retained for
+  // re-fetch until the next wrap regardless; the drain condition
+  // rate-limits initiation.)
   return op.schedule_done && (!op.sends.used() || op.sends.done());
 }
 

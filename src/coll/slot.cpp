@@ -161,7 +161,10 @@ void SlotArena::send(const Block& b, int to, std::size_t slot, const void* data,
                      std::size_t bytes, armci::Handle* nb) {
   PGASQ_CHECK(slot < b.slots && hdr() + bytes <= b.pitch);
   const std::size_t hdr = bytes == 0 ? 8 : this->hdr();
-  std::byte* stage = pool_->stage(bytes, nb != nullptr || hdr > 8);
+  // Both put paths copy the payload at injection (rput stages it, the
+  // AM put carries it), so only a checksummed hop's stage is read again,
+  // by a receiver's re-fetch.
+  std::byte* stage = pool_->stage(bytes, hdr > 8);
   if (bytes > 0) std::memcpy(stage + hdr, data, bytes);
   const Header h{b.flag, hdr > 8 ? crc32c(stage + hdr, bytes) : 0,
                  static_cast<std::uint32_t>(bytes), comm_.rank(), 0,

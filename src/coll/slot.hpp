@@ -67,7 +67,6 @@ class SlotArena {
 
   /// Header width: 8 (flag only) or 32 (slot checksums).
   std::size_t hdr() const { return integrity_ == nullptr ? 8 : 32; }
-  bool checksums() const { return integrity_ != nullptr; }
   /// The engine's trace recorder, or nullptr when it traces nothing.
   sim::TraceRecorder* trace() const { return trace_; }
   std::uint32_t track() const { return track_; }
@@ -104,17 +103,15 @@ class SlotArena {
   /// The wrap's end, after its rendezvous: retires stages, rewinds.
   void rewind();
 
-  /// Recycles every stage. Callers guarantee no receiver can still
-  /// re-fetch from one.
-  void retire_stages();
   /// Frees the stage pool's registered blocks.
   void release_stages();
 
   /// One hop: seals `data` into a stage and puts [header | payload]
   /// into slot `slot` of position `to`'s part of `b`, non-blocking into
   /// `nb` when given. A zero-byte hop puts its flag alone. A
-  /// non-blocking or checksummed hop's stage is retained until
-  /// retire_stages(); a blocking put snapshots it, so it is reused.
+  /// checksummed hop's stage is retained until retire_stages(), for
+  /// re-fetches; any other stage is reused by the next hop, since the
+  /// put copies the payload at injection.
   void send(const Block& b, int to, std::size_t slot, const void* data,
             std::size_t bytes, armci::Handle* nb);
   /// Payload of my slot `slot` of `b` once its message landed, else
@@ -134,6 +131,9 @@ class SlotArena {
   armci::RemotePtr remote(int v, std::size_t off) const;
   std::byte* local(std::size_t off) const;
   std::byte* stage(std::size_t bytes, bool keep);
+  /// Recycles every stage (at a wrap: no receiver can still re-fetch
+  /// from one).
+  void retire_stages();
 
   armci::Comm& comm_;
   const std::vector<int>& members_;

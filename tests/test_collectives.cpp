@@ -336,9 +336,9 @@ std::uint64_t run_pinned_software_schedule(bool timeline) {
       empty += proc.context(c).stats().empty_advances;
     }
   }
-  EXPECT_EQ(world.elapsed(), Time{5814401896});
-  EXPECT_EQ(advances, 16940u);
-  EXPECT_EQ(empty, 14899u);
+  EXPECT_EQ(world.elapsed(), Time{5739804917});
+  EXPECT_EQ(advances, 28276u);
+  EXPECT_EQ(empty, 25542u);
   return world.machine().engine().fiber_switches();
 }
 
