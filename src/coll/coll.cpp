@@ -47,7 +47,9 @@ Geometry base_geometry(const pami::Machine& machine, int p) {
 /// World::coll_shared(). One invocation is in flight at a time (engine
 /// ops are strictly ordered); `generation` counts completed ones.
 struct HwShared {
-  explicit HwShared(int p) : contrib(static_cast<std::size_t>(p)) {}
+  HwShared(int p, pami::Machine& m) : machine(&m), contrib(static_cast<std::size_t>(p)) {}
+  /// Pokes every member's poll loop when `generation` moves.
+  pami::Machine* machine;
   std::uint64_t generation = 0;
   int arrived = 0;
   std::vector<std::vector<std::byte>> contrib;  // per source rank
@@ -194,7 +196,7 @@ CollEngine::CollEngine(armci::Comm& comm, std::vector<int> members)
   geometry_.torus_dims = static_cast<int>(rings_.size());
 
   std::shared_ptr<void>& shared = comm.world().coll_shared();
-  if (!shared) shared = std::make_shared<HwShared>(p);
+  if (!shared) shared = std::make_shared<HwShared>(p, comm.world().machine());
   hw_ = std::static_pointer_cast<HwShared>(shared);
 
   // Collective: every rank constructs its engine at the same program
@@ -608,8 +610,12 @@ void CollEngine::hw_rendezvous(const void* contribution, std::size_t bytes,
     hw.arrived = 0;
     fold(hw);  // rank-order deterministic, independent of arrival order
     std::shared_ptr<HwShared> shared = hw_;
-    comm_.world().machine().engine().schedule_after(
-        hw_latency(model_bytes), [shared] { ++shared->generation; });
+    comm_.world().machine().engine().schedule_after(hw_latency(model_bytes), [shared] {
+      ++shared->generation;
+      for (std::size_t r = 0; r < shared->contrib.size(); ++r) {
+        shared->machine->process(static_cast<pami::RankId>(r)).poke();
+      }
+    });
   }
   comm_.poll_until([&hw, generation] { return hw.generation != generation; },
                    armci::Comm::kPollSlice);

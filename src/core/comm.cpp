@@ -373,23 +373,25 @@ void Comm::poll_until(const std::function<bool()>& pred, Time slice) {
   const Time poll_cost = process_.machine().params().advance_poll_cost;
   // Each pass is progress() — ft_check, deferred flush, advance (an
   // empty one sleeps poll_cost), async drain — then compute(slice).
-  // The engine's phase-0 wake is the advance's return, where only the
-  // drain remains; its phase-1 wake is the next pass's pred() and
-  // advance.
+  // The engine's phase-0 instant is the advance's return, where only
+  // the drain remains; its phase-1 instant is the next pass's pred()
+  // and advance.
   const std::function<bool(int)> idle = [this, &pred](int phase) {
-    if (!idle_pass()) return false;
-    if (phase == 1) {
-      if (pred()) return false;
-      main_context().count_empty_advance();
-    }
-    return true;
+    return idle_pass() && (phase == 0 || !pred());
   };
   sim::Engine& engine = process_.machine().engine();
+  const std::uint64_t ticket = engine.poll_ticket();
   while (!pred()) {
-    // A zero cost is charged without a sleep, so it has no wake to replay.
+    // A zero cost is charged without a sleep, so it has no instant to poll at.
     if (poll_cost > 0 && slice > 0 && idle_pass()) {
       main_context().count_empty_advance();
-      if (engine.replay_idle_loop(poll_cost, slice, idle) == 1) continue;
+      const Time start = now();
+      const int phase =
+          engine.poll_idle(poll_cost, slice, ticket, idle, process_.parked_poll());
+      // The passes between that started idle: one empty advance each.
+      main_context().count_empty_advance(
+          static_cast<std::uint64_t>((now() - start) / (poll_cost + slice) - phase));
+      if (phase == 1) continue;
       // Resumed where the empty advance returns: finish the pass.
       if (async_hook_) async_hook_();
     } else {

@@ -248,15 +248,25 @@ class Comm {
 
   /// The idle poll loop `while (!pred()) { progress(); compute(slice); }`
   /// for waits whose completion posts no context item (one-sided flag
-  /// writes, the hardware collective model). An idle pass — nothing
-  /// queued on the main context, nothing for the async runtime to run
-  /// — is replayed by the engine (sim::Engine::replay_idle_loop)
-  /// without switching into this fiber; virtual time, event order and
-  /// the advance counters stay exactly those of the loop. A pass runs
-  /// on the fiber whenever an ft monitor exists, deferred gets are
-  /// queued, the context lock is needed, the main context has work,
-  /// the async runtime would run anything, or the engine is traced or
-  /// timelined. `pred` is also evaluated from engine events, outside
+  /// writes, the hardware collective model). Once a pass is idle —
+  /// nothing queued on the main context, nothing for the async runtime
+  /// to run — the rank parks in sim::Engine::poll_idle and schedules
+  /// nothing. Its pass instants are poll wakes, which run after every
+  /// ordinary event of their instant, in the order the waits began
+  /// (a ticket taken at entry), so a flag that lands at T is seen at T.
+  /// Poke contract: every event that can change `pred` or end an idle
+  /// pass calls pami::Process::poke() on this rank — Context::post and
+  /// advance, the RDMA deliveries into target memory (rput,
+  /// rput_typed, the hardware AMO) and the hw-collective generation
+  /// bump. The poke's check runs at the rank's next pass instant. On
+  /// resume the skipped passes' empty advances are counted at once,
+  /// so virtual time, event order and the advance counters stay those
+  /// of the loop. A traced or timelined engine steps through every
+  /// instant on the fiber instead, under the same keys: the reference
+  /// parking must match. A pass runs on the fiber whenever an ft
+  /// monitor exists, deferred gets are queued, the context lock is
+  /// needed, the main context has work or the async runtime would run
+  /// anything. `pred` is also evaluated from engine events, outside
   /// any fiber, so it must be a plain read of memory; keep its
   /// captures within 16 bytes so std::function stores it inline
   /// (DESIGN.md §5).

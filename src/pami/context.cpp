@@ -274,8 +274,10 @@ std::size_t Context::advance() {
   }
   // A second thread may be parked in advance_until on this context
   // with a predicate our processing just satisfied (shared-context
-  // rho=1 configuration): let it re-check.
+  // rho=1 configuration), or in a poll loop (a deposit or a completion
+  // serviced by the async thread): let it re-check.
   arrivals_->notify_all();
+  process_.poke();
   return n;
 }
 
@@ -303,6 +305,7 @@ void Context::post(Item item) {
   machine().sinks().timeline->sample(machine().timeline_ids().pending_ops, item.posted_at,
                                      static_cast<double>(items_.size()));
   arrivals_->notify_all();
+  process_.poke();
 }
 
 void Context::post_completion(Callback cb, Time cost) {
@@ -502,8 +505,11 @@ void Context::rput(const MemoryRegion& local_mr, std::uint64_t loff,
   std::memcpy(staged.data(), local_mr.base + loff, bytes);
   maybe_corrupt(t, staged.data(), bytes);
   std::byte* dst = remote_mr.base + roff;
-  machine().engine().schedule_at(t.arrive, [staged = std::move(staged), dst]() mutable {
+  Process* target = &machine().process(remote_mr.owner);
+  machine().engine().schedule_at(t.arrive,
+                                 [staged = std::move(staged), dst, target]() mutable {
     std::memcpy(dst, staged.data(), staged.size());
+    target->poke();
   });
   if (on_local_done) {
     post_completion_at(t.inject_done + p.o_local_drain, std::move(on_local_done),
@@ -584,12 +590,14 @@ void Context::rput_typed(const MemoryRegion& local_mr, const MemoryRegion& remot
   }
   maybe_corrupt(t, staged->data(), total);
   std::byte* rbase = remote_mr.base;
-  machine().engine().schedule_at(t.arrive, [staged, rbase, chunks] {
+  Process* target = &machine().process(remote_mr.owner);
+  machine().engine().schedule_at(t.arrive, [staged, rbase, chunks, target] {
     std::uint64_t pos = 0;
     for (const auto& c : chunks) {
       std::memcpy(rbase + c.remote_offset, staged->data() + pos, c.bytes);
       pos += c.bytes;
     }
+    target->poke();
   });
   if (on_local_done) {
     post_completion_at(t.inject_done + p.o_local_drain, std::move(on_local_done),
@@ -781,6 +789,7 @@ void Context::rmw(Endpoint dest, std::int64_t* remote_word, RmwOp op,
           const std::int64_t old =
               shed ? flow::kExpiredRmw
                    : apply_rmw(remote_word, op, operand, compare);
+          if (!shed) m.process(dest.rank).poke();
           const auto reply =
               self->wire_control(dst_node, src_node, m.engine().now(), "rmw hw reply");
           self->flow('t', dest.rank, "rmw hw serve", fid, m.engine().now());

@@ -82,12 +82,12 @@ class Context {
   /// the PAMI progress rule.
   void advance_until(const std::function<bool()>& pred);
 
-  /// Counts one advance() that found the queue empty, without
-  /// charging its poll cost: the caller has accounted for that time
-  /// (an idle poll pass replayed by sim::Engine::replay_idle_loop).
-  void count_empty_advance() {
-    ++stats_.advance_calls;
-    ++stats_.empty_advances;
+  /// Counts `n` advance() calls that found the queue empty, without
+  /// charging their poll cost: the caller has accounted for that time
+  /// (idle passes of a poll loop parked in sim::Engine::poll_idle).
+  void count_empty_advance(std::uint64_t n = 1) {
+    stats_.advance_calls += n;
+    stats_.empty_advances += n;
   }
 
   /// True when queued items are waiting to be processed.

@@ -55,4 +55,6 @@ void Process::busy(Time t) {
 
 Time Process::now() const { return machine_.engine().now(); }
 
+void Process::poke_parked() { machine_.engine().poke(*parked_); }
+
 }  // namespace pgasq::pami

@@ -11,6 +11,7 @@
 #include "pami/context.hpp"
 #include "pami/memregion.hpp"
 #include "pami/types.hpp"
+#include "sim/engine.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq::pami {
@@ -71,10 +72,23 @@ class Process {
   void busy(Time t);
   Time now() const;
 
+  /// The poll loop this rank's thread is parked in (armci::Comm::
+  /// poll_until), or nullptr; held by sim::Engine::poll_idle.
+  sim::IdlePoll*& parked_poll() { return parked_; }
+  /// Schedules a check of the parked poll loop, if any, at its next
+  /// instant. Called by every event that can change what such a loop
+  /// waits for: a post or an advance on one of this rank's contexts,
+  /// an RDMA write into its memory, a hw-collective completion.
+  void poke() {
+    if (parked_ != nullptr) poke_parked();
+  }
+
   const SpaceStats& space() const { return space_; }
 
  private:
   friend class Context;
+  void poke_parked();
+
   Machine& machine_;
   RankId rank_;
   int node_;
@@ -82,6 +96,7 @@ class Process {
   std::vector<std::unique_ptr<Context>> contexts_;
   RegionTable regions_;
   SpaceStats space_;
+  sim::IdlePoll* parked_ = nullptr;
 };
 
 }  // namespace pgasq::pami

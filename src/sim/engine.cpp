@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <sstream>
 #include <utility>
 
 #include "sim/trace.hpp"
@@ -127,8 +128,16 @@ void Engine::run() {
         }
       }
     }
+    // Name each parked poll loop and when it parked: one whose wait
+    // was satisfied without a poke points at a missing poke site.
+    std::ostringstream parked;
+    for (const IdlePoll* p = parked_; p != nullptr; p = p->next) {
+      parked << "; '" << p->fiber->name() << "' parked in a poll loop since t="
+             << p->start << " ps";
+    }
     PGASQ_CHECK(false, << "deadlock: " << live_fibers_
-                       << " fiber(s) blocked with empty event queue: " << blocked);
+                       << " fiber(s) blocked with empty event queue: " << blocked
+                       << parked.str());
   }
 }
 
@@ -199,29 +208,89 @@ void Engine::suspend() {
 
 void Engine::yield() { sleep_for(0); }
 
-int Engine::replay_idle_loop(Time first, Time second,
-                             const std::function<bool(int)>& idle) {
-  PGASQ_CHECK(first >= 0 && second >= 0, << "negative idle-loop sleep");
+int Engine::poll_idle(Time first, Time second, std::uint64_t ticket,
+                      const std::function<bool(int)>& idle, IdlePoll*& slot) {
+  PGASQ_CHECK(first > 0 && second > 0, << "poll loop needs positive sleeps");
   Fiber* self = current_;
-  PGASQ_CHECK(self != nullptr, << "replay_idle_loop outside a fiber");
-  IdleReplay r{self, first, second, &idle, 0};
-  // Wake closures stay at two pointers, like sleep_for's, so
-  // std::function keeps them inline and the heap sees the same
-  // allocations either way.
-  schedule_after(first, [this, rp = &r] { idle_wake(*rp); });
+  PGASQ_CHECK(self != nullptr, << "poll_idle outside a fiber");
+  IdlePoll poll{self, first, second, now_, ticket, &idle, &slot};
+  if (trace_ != nullptr || timeline_->enabled()) {
+    // Observed: every instant is a fiber slice, under the key a parked
+    // loop's check would have there.
+    for (Time t = now_ + first;; t += poll.phase == 0 ? first : second) {
+      schedule_poll_wake(poll, t);
+      block_current(Fiber::State::kBlocked);
+      if (!idle(poll.phase)) return poll.phase;
+      poll.phase ^= 1;
+    }
+  }
+  PGASQ_CHECK(slot == nullptr, << "fiber '" << self->name()
+                               << "' parks a second poll loop on one slot");
+  poll.parked = true;
+  poll.next = parked_;
+  if (parked_ != nullptr) parked_->prev = &poll;
+  parked_ = &poll;
+  slot = &poll;
   block_current(Fiber::State::kBlocked);
-  return r.phase;
+  return poll.phase;
 }
 
-void Engine::idle_wake(IdleReplay& r) {
-  if (trace_ == nullptr && !timeline_->enabled() && (*r.idle)(r.phase)) {
-    const Time next = r.phase == 0 ? r.second : r.first;
-    r.phase ^= 1;
-    schedule_after(next, [this, rp = &r] { idle_wake(*rp); });
-    return;
+void Engine::poke(IdlePoll& poll) {
+  if (poll.checking) return;
+  // The first instant at or after now: `start` is no instant, a later
+  // multiple of the period is a phase-1 instant, `first` after one a
+  // phase-0 instant.
+  const Time period = poll.first + poll.second;
+  const Time base = poll.start + (now_ - poll.start) / period * period;
+  Time t;
+  if (now_ == base && base != poll.start) {
+    t = base;
+    poll.phase = 1;
+  } else if (now_ <= base + poll.first) {
+    t = base + poll.first;
+    poll.phase = 0;
+  } else {
+    t = base + period;
+    poll.phase = 1;
   }
-  r.fiber->state_ = Fiber::State::kReady;
-  woken_ = r.fiber;
+  // Poll wakes at now up to the cursor have had their turn; this loop's
+  // did if its ticket is not after the cursor's.
+  if (t == now_ && poll_cursor_time_ == now_ && poll.ticket <= poll_cursor_ticket_) {
+    t += poll.phase == 0 ? poll.second : poll.first;
+    poll.phase ^= 1;
+  }
+  poll.checking = true;
+  schedule_poll_wake(poll, t);
+}
+
+void Engine::schedule_poll_wake(IdlePoll& poll, Time t) {
+  PGASQ_CHECK(t > now_ || (t == now_ && !(poll_cursor_time_ == now_ &&
+                                          poll.ticket <= poll_cursor_ticket_)));
+  // A two-pointer closure, kept inline by std::function like sleep_for's.
+  queue_.push(new Event{t, kPollWake | poll.ticket, [this, p = &poll] { poll_wake(*p); }});
+}
+
+void Engine::poll_wake(IdlePoll& poll) {
+  poll_cursor_time_ = now_;
+  poll_cursor_ticket_ = poll.ticket;
+  if (poll.parked) {
+    poll.checking = false;
+    if ((*poll.idle)(poll.phase)) {
+      // Idle at phase 0 says nothing about the awaited condition, which
+      // only phase 1 reads; idle at phase 1 stays so until a poke.
+      if (poll.phase == 0) {
+        poll.phase = 1;
+        poll.checking = true;
+        schedule_poll_wake(poll, now_ + poll.second);
+      }
+      return;
+    }
+    (poll.prev != nullptr ? poll.prev->next : parked_) = poll.next;
+    if (poll.next != nullptr) poll.next->prev = poll.prev;
+    *poll.slot = nullptr;
+  }
+  poll.fiber->state_ = Fiber::State::kReady;
+  woken_ = poll.fiber;
 }
 
 void Engine::resume(Fiber& fiber, Time delay) {

@@ -7,6 +7,14 @@
 // up (network delivery, PAMI progress, ARMCI protocols) is expressed
 // as events and fiber wakeups.
 //
+// Poll-instant rule: the wakes of idle poll loops (poll_idle) are a
+// second class of event. At one instant they run after every ordinary
+// event, and among themselves in the order their loops took their
+// tickets. A write that lands at T is therefore seen by a poll at T.
+// An unobserved poll loop parks between instants and schedules nothing
+// until a poke; an observed one steps through every instant under the
+// same keys, which makes it the reference that parking must match.
+//
 // The event loop runs on the stack of the fiber that last blocked, so
 // plain event callbacks run on fiber stacks. A wake of that same fiber
 // returns to it without a stack switch, and a wake of another fiber
@@ -35,6 +43,22 @@ namespace pgasq::sim {
 /// Identifier for a scheduled event; usable with cancel().
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
+
+/// A fiber's poll loop in Engine::poll_idle (lives on that fiber's stack).
+struct IdlePoll {
+  Fiber* fiber;
+  Time first;
+  Time second;
+  Time start;  ///< when the loop parked; its instants follow from here
+  std::uint64_t ticket;
+  const std::function<bool(int)>* idle;
+  IdlePoll** slot;
+  int phase = 0;          ///< phase of the pending check, or of the resume
+  bool parked = false;    ///< false: the loop steps (observed run)
+  bool checking = false;  ///< a parked loop's check is scheduled
+  IdlePoll* prev = nullptr;  ///< the engine's list of parked loops
+  IdlePoll* next = nullptr;
+};
 
 class Engine {
  public:
@@ -77,20 +101,33 @@ class Engine {
   void sleep_until(Time t);
   /// Blocks the current fiber indefinitely; another party must resume().
   void suspend();
+  /// Takes the next poll ticket. A poll loop takes one when it starts;
+  /// the ticket orders its wakes among all poll wakes at one instant.
+  std::uint64_t poll_ticket() { return next_poll_ticket_++; }
   /// Blocks the current fiber in the fixed-cadence idle loop
   ///   for (;;) { sleep_for(first); step 0; sleep_for(second); step 1; }
-  /// without switching into it for steps that do nothing. At each wake
-  /// the engine asks `idle(phase)` (0 after `first`, 1 after `second`)
-  /// whether the fiber's step there would be a no-op; if so, `idle`
-  /// has done that step's bookkeeping and the engine schedules the next
-  /// wake from the same event, so every wake keeps the instant and the
-  /// FIFO id the fiber's own sleep_for would have given it. Otherwise
-  /// the fiber resumes inside that event, and this returns the phase
-  /// of the wake it resumed at. `idle` runs as a plain event callback
-  /// (no current fiber) and must not throw or block. While a trace
-  /// recorder or an enabled timeline observes fiber switches, every wake
-  /// resumes the fiber.
-  int replay_idle_loop(Time first, Time second, const std::function<bool(int)>& idle);
+  /// started now, whose steps do nothing while `idle(phase)` (0 after
+  /// `first`, 1 after `second`) holds. The loop's instants are poll
+  /// wakes keyed by `ticket` (see the poll-instant rule above). Returns
+  /// the phase of the first instant where `idle` is false, with the
+  /// fiber resumed there.
+  ///
+  /// Unobserved, the fiber parks and no instant is scheduled: `idle`
+  /// may only change through an event that calls poke(*slot). `slot`
+  /// holds the parked loop until it resumes. A poke schedules one check
+  /// at the first instant that has not had its turn yet; a phase-0
+  /// check that finds the loop idle checks the next phase-1 instant
+  /// too, since only there does `idle` read the awaited condition. A
+  /// check runs as a plain event callback (no current fiber), so `idle`
+  /// must not throw or block. While a trace recorder or an enabled
+  /// timeline observes fiber switches, the loop steps instead: every
+  /// instant switches into the fiber, which evaluates `idle` itself.
+  /// Either way the instant and the order of the resume are the same.
+  int poll_idle(Time first, Time second, std::uint64_t ticket,
+                const std::function<bool(int)>& idle, IdlePoll*& slot);
+  /// Wakes a parked poll loop for a check at its next instant; a no-op
+  /// while a check is already pending.
+  void poke(IdlePoll& poll);
   /// Yields to let any same-time events run, then continues.
   void yield();
 
@@ -140,18 +177,13 @@ class Engine {
   struct EventOrder {
     bool operator()(const Event* a, const Event* b) const {
       if (a->time != b->time) return a->time > b->time;
-      return a->id > b->id;  // FIFO among same-time events
+      return a->id > b->id;  // FIFO among same-time events, poll wakes last
     }
   };
 
-  /// A fiber blocked in replay_idle_loop (lives on that fiber's stack).
-  struct IdleReplay {
-    Fiber* fiber;
-    Time first;
-    Time second;
-    const std::function<bool(int)>* idle;
-    int phase;
-  };
+  /// Poll wakes sort after every ordinary event of their instant: their
+  /// ids are this bit plus the loop's ticket.
+  static constexpr EventId kPollWake = EventId{1} << 63;
 
   /// Runs the event loop on the calling stack. `ended` is the fiber
   /// whose slice just ended (nullptr when there is none). Returns
@@ -164,14 +196,23 @@ class Engine {
   /// One swapcontext from `from`'s stack to `to`'s (nullptr: run()'s).
   void switch_stacks(Fiber* from, Fiber* to);
   void block_current(Fiber::State new_state);
-  /// One wake of a replayed idle loop.
-  void idle_wake(IdleReplay& r);
+  /// Schedules `poll`'s wake at its instant `t` (phase `poll.phase`).
+  void schedule_poll_wake(IdlePoll& poll, Time t);
+  /// One wake: a stepped loop's fiber is switched in; a parked loop is
+  /// checked and resumes unless it is still idle.
+  void poll_wake(IdlePoll& poll);
 
   /// ASan annotation before leaving `from` for `to` (no-op without ASan).
   void asan_start_switch(Fiber* from, Fiber* to);
 
   Time now_ = 0;
   EventId next_event_id_ = 1;
+  std::uint64_t next_poll_ticket_ = 0;
+  /// The last poll wake that ran: its time and its loop's ticket.
+  Time poll_cursor_time_ = -1;
+  std::uint64_t poll_cursor_ticket_ = 0;
+  /// Parked poll loops, for the deadlock diagnostic.
+  IdlePoll* parked_ = nullptr;
   std::priority_queue<Event*, std::vector<Event*>, EventOrder> queue_;
   // Cancelled events stay in the heap and are skipped on pop; the flag
   // lives in this set keyed by id.

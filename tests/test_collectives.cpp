@@ -267,17 +267,22 @@ TEST_P(GopNonPow2, SumLandsOnEveryRank) {
 INSTANTIATE_TEST_SUITE_P(Counts, GopNonPow2, ::testing::Values(3, 5, 6, 12));
 
 // ---------------------------------------------------------------------------
-// Pinned software collectives: the poll loops of recv_wait / wait_word
-// run mostly as engine-replayed idle passes, which must leave virtual
-// time and the advance counters exactly where the on-fiber loop left
-// them. The constants were recorded with every pass on the fiber. The
-// run is made twice: with observability off, and with a timeline, which
-// observes every fiber switch and so turns the replay off. Both must
-// give the same figures, and only the first may skip fiber switches.
+// Pinned software collectives: the slot waits of Comm::poll_until park
+// their ranks between landings, which must leave virtual time and the
+// advance counters exactly where the stepped loop leaves them. The run
+// is made twice: with observability off, and with a timeline, which
+// observes every fiber switch and so steps every pass on the fiber.
+// Both must give the same figures; only the first may skip fiber
+// switches and the engine events of idle passes.
+
+struct PinnedCost {
+  std::uint64_t fiber_switches;
+  std::uint64_t events;
+};
 
 /// Runs the pinned alltoall, broadcast, allreduce and barrier, checks
-/// their results and figures, and returns the engine's fiber switches.
-std::uint64_t run_pinned_software_schedule(bool timeline) {
+/// their results and figures, and returns the engine's host-side work.
+PinnedCost run_pinned_software_schedule(bool timeline) {
   constexpr int p = 32;
   constexpr std::size_t kA2aBytes = 4096;
   constexpr std::size_t kA2aWords = kA2aBytes / 8;
@@ -339,16 +344,20 @@ std::uint64_t run_pinned_software_schedule(bool timeline) {
   EXPECT_EQ(world.elapsed(), Time{5739804917});
   EXPECT_EQ(advances, 28276u);
   EXPECT_EQ(empty, 25542u);
-  return world.machine().engine().fiber_switches();
+  const sim::Engine& engine = world.machine().engine();
+  return {engine.fiber_switches(), engine.events_processed()};
 }
 
 TEST(CollPinned, SoftwareScheduleTimingAndAdvanceCounts) {
-  std::uint64_t fiber_switches[2] = {};
+  PinnedCost cost[2] = {};
   for (const bool timeline : {false, true}) {
     SCOPED_TRACE(timeline ? "obs.timeline=1" : "obs off");
-    fiber_switches[timeline] = run_pinned_software_schedule(timeline);
+    cost[timeline] = run_pinned_software_schedule(timeline);
   }
-  EXPECT_LT(fiber_switches[0], fiber_switches[1]);
+  EXPECT_LT(cost[0].fiber_switches, cost[1].fiber_switches);
+  // Parked, an idle pass schedules no event: only landings do.
+  EXPECT_EQ(cost[0].events, 14018u);
+  EXPECT_LT(cost[0].events * 4, cost[1].events);
 }
 
 // ---------------------------------------------------------------------------

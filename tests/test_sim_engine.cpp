@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/timeline.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
@@ -345,87 +346,92 @@ TEST(Engine, WakeOfFinishedFiberFailsFromRun) {
   EXPECT_EQ(f->state(), Fiber::State::kFinished);
 }
 
-// One waiter polls a flag with an 80 ns + 200 ns idle loop, either on
-// its own fiber (sleep_for twice per pass) or replayed by the engine.
-// Other fibers and events land flag writes and their own wakes on the
-// loop's instants, so any change to a wake's instant or FIFO position
-// reorders the log.
-struct IdleScenario {
+// Three fibers poll flags in 80 ns + 200 ns idle loops (poll_idle),
+// stepped on their fibers when a timeline observes the engine, parked
+// between pokes otherwise. All of them start at t = 0, so they share
+// one grid of instants: phase 0 at 80 + 280k ns, phase 1 at 280k ns.
+// Flag writes poke the loop they feed, as pami::Process::poke does.
+struct PollScenario {
   std::vector<std::pair<Time, std::string>> log;
+  Time resumed[3] = {-1, -1, -1};
+  /// Empty passes: counted per idle phase-1 instant while stepped, from
+  /// the parked span while parked (as Comm::poll_until counts them).
+  std::uint64_t empties[3] = {};
   std::uint64_t events = 0;
-  Time resumed = -1;
 };
 
-IdleScenario run_idle_scenario(bool replay) {
-  Engine engine;
-  IdleScenario out;
-  int flag = 0;
-  bool urgent = false;
-  auto note = [&](const char* who) { out.log.emplace_back(engine.now(), who); };
-  // The two steps of a pass; true when the step has nothing to do.
-  auto step0 = [&] {
-    note("w0");
-    return !urgent;
+PollScenario run_poll_scenario(bool observed) {
+  obs::Timeline timeline(1_us, 8);
+  obs::Sinks sinks;
+  if (observed) sinks.timeline = &timeline;
+  Engine engine(sinks);
+  PollScenario out;
+  struct Flag {
+    int value = 0;
+    int want;
+    bool urgent = false;
+    IdlePoll* parked = nullptr;
   };
-  auto step1 = [&] {
-    note("w1");
-    return flag < 3;
+  Flag flags[3];
+  flags[0].want = 3;  // p
+  flags[1].want = 2;  // q
+  flags[2].want = 1;  // r
+  const char* names[3] = {"p", "q", "r"};
+  auto note = [&](std::string who) { out.log.emplace_back(engine.now(), std::move(who)); };
+  auto poke = [&](Flag& f) {
+    if (f.parked != nullptr) engine.poke(*f.parked);
   };
-  auto serve_urgent = [&] {
-    urgent = false;
-    note("w urgent");
+  auto land = [&](int i, const char* who) {
+    ++flags[i].value;
+    note(who);
+    poke(flags[i]);
   };
-  engine.spawn("waiter", [&] {
-    if (replay) {
-      const std::function<bool(int)> idle = [&](int phase) {
-        return phase == 0 ? step0() : step1();
+  for (int i = 0; i < 3; ++i) {
+    engine.spawn(names[i], [&, i] {
+      Flag& f = flags[i];
+      const std::uint64_t ticket = engine.poll_ticket();
+      const std::function<bool(int)> idle = [&f, &out, i, observed](int phase) {
+        if (phase == 0) return !f.urgent;
+        const bool waiting = f.value < f.want;
+        if (waiting && observed) ++out.empties[i];
+        return waiting;
       };
-      while (engine.replay_idle_loop(80_ns, 200_ns, idle) == 0) {
-        serve_urgent();
-        engine.sleep_for(200_ns);
-        if (!step1()) break;
+      while (f.value < f.want) {
+        const Time start = engine.now();
+        const int phase = engine.poll_idle(80_ns, 200_ns, ticket, idle, f.parked);
+        if (!observed) {
+          out.empties[i] += static_cast<std::uint64_t>((engine.now() - start) / 280_ns - phase);
+        }
+        note(std::string(names[i]) + " resumes " + std::to_string(phase));
+        if (phase == 0) {
+          // Serve the urgent step, then the pass's compute slice.
+          f.urgent = false;
+          engine.sleep_for(200_ns);
+        } else if (i == 0) {
+          land(1, "p writes q");  // a poll wake ahead of q's at this instant
+        } else if (i == 2) {
+          land(0, "r writes p");  // a poll wake behind p's at this instant
+        }
       }
-    } else {
-      do {
-        engine.sleep_for(80_ns);
-        if (!step0()) serve_urgent();
-        engine.sleep_for(200_ns);
-      } while (step1());
-    }
-    out.resumed = engine.now();
-  });
-  // Wakes on the first pass's phase-0 and phase-1 instants.
-  engine.spawn("a", [&] {
-    engine.sleep_until(80_ns);
-    note("a");
-    engine.sleep_until(280_ns);
-    note("a");
-  });
-  // Written from inside the 80 ns window, landing on the next check:
-  // ahead of the check only if the check's wake is scheduled at the
-  // phase-0 wake, not before it.
-  engine.schedule_at(300_ns, [&] {
-    engine.schedule_at(560_ns, [&] {
-      ++flag;
-      note("x1");
+      out.resumed[i] = engine.now();
     });
+  }
+  // Two writes for p landing on the phase-1 instant 560 ns, one queued
+  // from inside the 80 ns window, one less than 200 ns before it.
+  engine.schedule_at(300_ns, [&] { engine.schedule_at(560_ns, [&] { land(0, "x1"); }); });
+  engine.schedule_at(400_ns, [&] { engine.schedule_at(560_ns, [&] { land(0, "x2"); }); });
+  // q's first write lands on the same instant (queued first, so it runs
+  // first): too few to resume it.
+  engine.schedule_at(560_ns, [&] { land(1, "y"); });
+  // p resumes in phase 0 (at 640 ns), serves, and parks again at 840.
+  engine.schedule_at(600_ns, [&] {
+    flags[0].urgent = true;
+    poke(flags[0]);
   });
-  // Written from inside the 200 ns window, landing exactly on the same
-  // check instant: queued behind the check, seen one pass later.
-  engine.schedule_at(400_ns, [&] {
-    engine.schedule_at(560_ns, [&] {
-      ++flag;
-      note("x2");
-    });
-  });
-  // Makes the waiter resume in the first phase (at 640 ns).
-  engine.schedule_at(600_ns, [&] { urgent = true; });
-  // A fiber whose wake was queued at t=0 lands the last write on the
-  // check instant 1120 ns, ahead of the check.
+  // A fiber whose wake was queued at t = 0 lands r's write on 1120 ns.
   engine.spawn("c", [&] {
     engine.sleep_until(1120_ns);
-    ++flag;
-    note("c");
+    land(2, "c");
   });
   engine.run();
   out.events = engine.events_processed();
@@ -433,20 +439,65 @@ IdleScenario run_idle_scenario(bool replay) {
 }
 
 TEST(Engine, IdleReplayMatchesSleepLoop) {
-  const IdleScenario loop = run_idle_scenario(false);
-  const IdleScenario replayed = run_idle_scenario(true);
-  EXPECT_EQ(replayed.log, loop.log);
-  EXPECT_EQ(replayed.events, loop.events);
-  EXPECT_EQ(replayed.resumed, loop.resumed);
-  // The scenario does what it claims: both 560 ns writes precede a
-  // check, in different passes, and the phase-0 resume happened.
-  EXPECT_EQ(loop.resumed, 1120_ns);
-  const std::vector<std::pair<Time, std::string>> at560 = {
-      {560_ns, "x1"}, {560_ns, "w1"}, {560_ns, "x2"}};
-  EXPECT_NE(std::search(loop.log.begin(), loop.log.end(), at560.begin(), at560.end()),
-            loop.log.end());
-  const std::pair<Time, std::string> urgent{640_ns, "w urgent"};
-  EXPECT_NE(std::find(loop.log.begin(), loop.log.end(), urgent), loop.log.end());
+  const PollScenario stepped = run_poll_scenario(true);
+  const PollScenario parked = run_poll_scenario(false);
+  EXPECT_EQ(parked.log, stepped.log);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(parked.resumed[i], stepped.resumed[i]) << i;
+    EXPECT_EQ(parked.empties[i], stepped.empties[i]) << i;
+  }
+  // The poll-instant rule: a write landing at T is seen by the poll at
+  // T (r at 1120), a later ticket's poll at T sees what an earlier one
+  // wrote (q at 1400), and an earlier ticket's poll at T does not see
+  // what a later one wrote (p only at 1400, not 1120).
+  const std::vector<std::pair<Time, std::string>> want = {
+      {560_ns, "y"},            {560_ns, "x1"},           {560_ns, "x2"},
+      {640_ns, "p resumes 0"},  {1120_ns, "c"},           {1120_ns, "r resumes 1"},
+      {1120_ns, "r writes p"},  {1400_ns, "p resumes 1"}, {1400_ns, "p writes q"},
+      {1400_ns, "q resumes 1"}};
+  EXPECT_EQ(stepped.log, want);
+  // p: passes from 280 and 560 before its phase-0 resume, then 1120.
+  // q: every phase-1 instant before 1400. r: 280, 560 and 840.
+  EXPECT_EQ(stepped.empties[0], 3u);
+  EXPECT_EQ(stepped.empties[1], 4u);
+  EXPECT_EQ(stepped.empties[2], 3u);
+  // Parked, only landings schedule checks.
+  EXPECT_LT(parked.events * 2, stepped.events);
+}
+
+TEST(Engine, DeadlockNamesAParkedPoller) {
+  for (const bool observed : {true, false}) {
+    obs::Timeline timeline(1_us, 8);
+    obs::Sinks sinks;
+    if (observed) sinks.timeline = &timeline;
+    Engine engine(sinks);
+    int flag = 0;
+    IdlePoll* parked = nullptr;
+    engine.spawn("waiter", [&] {
+      engine.sleep_for(1_us);
+      const std::function<bool(int)> idle = [&flag](int phase) {
+        return phase == 0 || flag == 0;
+      };
+      engine.poll_idle(80_ns, 200_ns, engine.poll_ticket(), idle, parked);
+    });
+    // A write that lands without poking the loop: a stepped loop still
+    // sees it, a parked one never wakes.
+    engine.schedule_at(2_us, [&] { flag = 1; });
+    if (observed) {
+      engine.run();
+      EXPECT_EQ(engine.now(), 2120_ns);
+      continue;
+    }
+    try {
+      engine.run();
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "'waiter' parked in a poll loop since t=1000000 ps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -221,8 +221,10 @@ async_gate() {
   # interleaved inside their window (the energy iallreduce makes
   # incremental progress instead of blocking), plus the async.* gauge
   # series in the timeline; both arms of the overlap bench must agree
-  # on the Fock checksum and energy (asserted in-binary), and two
-  # identical bench runs must emit bitwise-identical async.* metrics.
+  # on the Fock checksum and energy (asserted in-binary), two
+  # identical bench runs must emit bitwise-identical async.* metrics,
+  # and a timelined run, whose poll loops step on their fibers, must
+  # print the same stdout as the unobserved one, whose loops park.
   local dir="$1" out="${repo}/$1/async-gate"
   echo "=== async gate: ${dir}" >&2
   mkdir -p "${out}"
@@ -244,12 +246,17 @@ print(f"async timeline OK: {sorted(want)} present")
 PY
   "${repo}/${dir}/bench/bench_abl_async" --ranks=64 --ranks_per_node=16 \
     --nbf=128 --block=8 --iterations=2 --task_us=500 \
-    "--report.json_path=${out}/BENCH_async_a.json" >/dev/null
+    "--report.json_path=${out}/BENCH_async_a.json" >"${out}/async_a.stdout"
   "${repo}/${dir}/bench/bench_abl_async" --ranks=64 --ranks_per_node=16 \
     --nbf=128 --block=8 --iterations=2 --task_us=500 \
     "--report.json_path=${out}/BENCH_async_b.json" >/dev/null
   python3 "${repo}/tools/bench_diff.py" --fail-over 0 --metric async. \
     "${out}/BENCH_async_a.json" "${out}/BENCH_async_b.json"
+  "${repo}/${dir}/bench/bench_abl_async" --ranks=64 --ranks_per_node=16 \
+    --nbf=128 --block=8 --iterations=2 --task_us=500 --obs.timeline=1 \
+    >"${out}/async_timeline.stdout"
+  cmp "${out}/async_a.stdout" "${out}/async_timeline.stdout"
+  echo "async gate OK: obs.timeline=1 stdout identical to the unobserved run"
 }
 
 knob_gate() {
