@@ -337,8 +337,8 @@ void Engine::switch_in(Fiber& fiber) {
 void Engine::switch_stacks(Fiber* from, Fiber* to) {
   ++stack_switches_;
   asan_start_switch(from, to);
-  PGASQ_CHECK(swapcontext(from != nullptr ? &from->context_ : &scheduler_context_,
-                          to != nullptr ? &to->context_ : &scheduler_context_) == 0);
+  pgasq_sim_switch_stacks(from != nullptr ? &from->sp_ : &scheduler_sp_,
+                          to != nullptr ? to->sp_ : scheduler_sp_);
   // Back on `from`'s stack: a loop switched it in, or (run()'s stack)
   // the loop stopped or a fiber finished.
   asan_finish_switch(from);

@@ -146,7 +146,7 @@ class Engine {
   /// Fiber slices started: each time a fiber is switched in to run
   /// (diagnostics).
   std::uint64_t fiber_switches() const { return fiber_switches_; }
-  /// swapcontext calls made by the engine (diagnostics): one per fiber
+  /// Stack switches made by the engine (diagnostics): one per fiber
   /// switch, none when a fiber wakes itself, plus one out of each
   /// finished fiber and one into and out of each run().
   std::uint64_t stack_switches() const { return stack_switches_; }
@@ -193,7 +193,7 @@ class Engine {
   /// pending, so it never unwinds into the hosting fiber.
   Fiber* dispatch(Fiber* ended);
   void switch_in(Fiber& fiber);
-  /// One swapcontext from `from`'s stack to `to`'s (nullptr: run()'s).
+  /// One register swap from `from`'s stack to `to`'s (nullptr: run()'s).
   void switch_stacks(Fiber* from, Fiber* to);
   void block_current(Fiber::State new_state);
   /// Schedules `poll`'s wake at its instant `t` (phase `poll.phase`).
@@ -221,6 +221,8 @@ class Engine {
   std::size_t live_fibers_ = 0;
   Fiber* current_ = nullptr;
   ucontext_t scheduler_context_{};
+  /// run()'s stack pointer while a fiber runs.
+  void* scheduler_sp_ = nullptr;
   bool running_ = false;
   std::exception_ptr pending_exception_;
   /// The event that switched in the running fiber; freed when its

@@ -1,4 +1,4 @@
-// Cooperative fibers built on POSIX ucontext.
+// Cooperative fibers switched by a raw x86-64 register swap.
 //
 // Every simulated hardware thread (a rank's main thread, its
 // asynchronous progress thread) is a Fiber. Fibers are scheduled by
@@ -7,6 +7,10 @@
 // construction: "concurrent" BG/Q threads interleave only at simulator
 // blocking points, exactly like instruction interleavings resolved by
 // a serializing memory system.
+//
+// A switch (fiber.cpp) saves only what the SysV ABI keeps across a
+// call: rbx, rbp, r12-r15, the stack pointer, MXCSR and the x87 control
+// word. No signal mask is saved, so a switch makes no system call.
 #pragma once
 
 #include <ucontext.h>
@@ -18,7 +22,7 @@
 #include <string>
 
 // AddressSanitizer needs explicit fiber-switch annotations around
-// swapcontext or it reports false stack-buffer-overflows (see
+// a stack switch or it reports false stack-buffer-overflows (see
 // google/sanitizers#189); these hooks are compiled in only under ASan.
 #if defined(__SANITIZE_ADDRESS__)
 #define PGASQ_ASAN_FIBERS 1
@@ -34,6 +38,12 @@
 namespace pgasq::sim {
 
 class Engine;
+
+/// Pushes the callee-saved registers, MXCSR and the x87 control word on
+/// the current stack and stores the stack pointer in `*save`, then
+/// loads `load` (a pointer so stored, or a new fiber's first frame),
+/// pops the same state there and returns on that stack.
+extern "C" void pgasq_sim_switch_stacks(void** save, void* load);
 
 class Fiber {
  public:
@@ -62,10 +72,8 @@ class Fiber {
   Fiber(Engine& engine, std::uint64_t id, std::string name,
         std::function<void()> body, std::size_t stack_bytes);
 
-  /// Entry point reached via makecontext; receives `this` split into
-  /// two ints (makecontext's argument ABI).
-  static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+  /// Called by the entry stub a new fiber's first switch returns into.
+  [[noreturn]] static void run_body(Fiber* self);
   void check_canary() const;
 
   Engine& engine_;
@@ -74,6 +82,9 @@ class Fiber {
   std::uint32_t trace_track_ = 0xffffffffu;
   /// ASan fake-stack handle saved when this fiber switches away.
   void* asan_fake_stack_ = nullptr;
+  /// Stack pointer saved when this fiber switches away; at first, its
+  /// entry frame.
+  void* sp_ = nullptr;
   std::string name_;
   std::function<void()> body_;
   std::size_t stack_bytes_;

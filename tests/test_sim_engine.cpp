@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <functional>
 #include <string>
 #include <utility>
@@ -294,6 +295,58 @@ TEST(Engine, QueueDrainsOnFiberStackThenRunResumesIt) {
   EXPECT_EQ(engine.live_fibers(), 0u);
   // run() -> last -> (finished) run() -> first -> run().
   EXPECT_EQ(engine.stack_switches(), 7u);
+}
+
+// 1/3 in SSE arithmetic, which rounds under MXCSR's mode (fegetround
+// reads the x87 control word, so the two together check both).
+double sse_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+// A switch restores the MXCSR and x87 control word of the side it
+// enters, and a new fiber starts with its spawner's.
+TEST(Engine, FiberKeepsItsFloatingPointControlState) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = sse_third();
+  Engine engine;
+  int other_mode = -1;
+  double other_third = 0;
+  int up_mode = -1;
+  double up_third = 0;
+  int child_mode = -1;
+  double child_third = 0;
+  engine.spawn("up", [&] {
+    std::fesetround(FE_UPWARD);
+    engine.sleep_for(10);  // "other" runs in between
+    up_mode = std::fegetround();
+    up_third = sse_third();
+    engine.spawn("child", [&] {
+      child_mode = std::fegetround();
+      child_third = sse_third();
+    });
+    engine.sleep_for(10);
+  });
+  engine.spawn("other", [&] {
+    engine.sleep_for(5);
+    other_mode = std::fegetround();
+    other_third = sse_third();
+  });
+  engine.run();
+  const int run_mode = std::fegetround();
+  const double run_third = sse_third();
+  std::fesetround(FE_TONEAREST);  // whatever happened, for later tests
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(other_third, nearest) << std::hexfloat << other_third << " vs " << nearest;
+  EXPECT_EQ(up_mode, FE_UPWARD);
+  EXPECT_GT(up_third, nearest);
+  EXPECT_EQ(child_mode, FE_UPWARD);
+  EXPECT_EQ(child_third, up_third);
+  // run()'s stack gets its own state back when the last fiber leaves.
+  EXPECT_EQ(run_mode, FE_TONEAREST);
+  EXPECT_EQ(run_third, nearest) << std::hexfloat << run_third << " vs " << nearest;
+  EXPECT_EQ(engine.fiber_switches(), 6u);
 }
 
 TEST(Engine, CallbackExceptionPropagatesAndEngineRunsAgain) {

@@ -259,6 +259,22 @@ PY
   echo "async gate OK: obs.timeline=1 stdout identical to the unobserved run"
 }
 
+shstk_gate() {
+  # Shadow-stack gate: a fiber switch returns onto another stack, which
+  # a CET shadow stack would trap, so no binary may claim SHSTK
+  # support. src/sim/fiber.cpp, which holds the switch, is built
+  # without the property note, and the linker then drops the marking
+  # from every binary it goes into.
+  local bin="${repo}/$1/tests/pgasq_tests"
+  echo "=== shadow-stack gate: $1" >&2
+  command -v readelf >/dev/null || {
+    echo "shadow-stack gate: readelf not found" >&2; exit 1; }
+  if readelf -n "${bin}" | grep -E "x86 feature.*SHSTK" >&2; then
+    echo "shadow-stack gate: ${bin} is marked SHSTK" >&2; exit 1
+  fi
+  echo "shadow-stack gate OK: ${bin} carries no SHSTK marking" >&2
+}
+
 knob_gate() {
   # Knob gate: a key is valid exactly when the program reads it, so a
   # misspelled knob must fail the run (non-zero exit, typo hint on
@@ -326,6 +342,7 @@ PY
 }
 
 pass build-check
+shstk_gate build-check
 perfbench_pass
 knob_gate build-check
 scale_gate build-check
