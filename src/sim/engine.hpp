@@ -220,7 +220,6 @@ class Engine {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::size_t live_fibers_ = 0;
   Fiber* current_ = nullptr;
-  ucontext_t scheduler_context_{};
   /// run()'s stack pointer while a fiber runs.
   void* scheduler_sp_ = nullptr;
   bool running_ = false;

@@ -13,8 +13,6 @@
 // word. No signal mask is saved, so a switch makes no system call.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -89,7 +87,6 @@ class Fiber {
   std::function<void()> body_;
   std::size_t stack_bytes_;
   std::unique_ptr<char[]> stack_;
-  ucontext_t context_{};
   State state_ = State::kReady;
 };
 
