@@ -10,9 +10,7 @@ extern "C" void __lsan_ignore_object(const void* p);
 #endif
 
 // The switch, and the stub a new fiber's first switch returns into.
-// This file is built with -fcf-protection=none (src/sim/CMakeLists.txt):
-// the switch returns onto another stack, which a CET shadow stack would
-// trap, so its object must keep the SHSTK marking off every binary.
+// Built with -fcf-protection=none: see src/sim/CMakeLists.txt.
 asm(R"(
   .pushsection .text
   .globl pgasq_sim_switch_stacks
