@@ -5,6 +5,12 @@
 
 #include "sim/trace.hpp"
 
+// Defined in fiber.cpp. Pushes the callee-saved registers, MXCSR and the
+// x87 control word on the current stack and stores the stack pointer in
+// `*save`, then loads `load` (a pointer so stored, or a new fiber's
+// first frame), pops the same state there and returns on that stack.
+extern "C" void pgasq_sim_switch_stacks(void** save, void* load);
+
 #if PGASQ_ASAN_FIBERS
 extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,

@@ -37,12 +37,6 @@ namespace pgasq::sim {
 
 class Engine;
 
-/// Pushes the callee-saved registers, MXCSR and the x87 control word on
-/// the current stack and stores the stack pointer in `*save`, then
-/// loads `load` (a pointer so stored, or a new fiber's first frame),
-/// pops the same state there and returns on that stack.
-extern "C" void pgasq_sim_switch_stacks(void** save, void* load);
-
 class Fiber {
  public:
   enum class State : std::uint8_t {
