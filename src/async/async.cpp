@@ -35,16 +35,8 @@ Runtime::Runtime(armci::Comm& comm)
   timeline_ = comm.world().machine().sinks().timeline;
   pending_series_ = timeline_->series("async.pending_futures", obs::Timeline::Kind::kGauge);
   queue_series_ = timeline_->series("async.cont_queue_depth", obs::Timeline::Kind::kGauge);
-  comm.set_async_hook([this] { drain(); }, [this] { check_quiesced(); });
-  comm.set_async_poll_hook([this] {
-    using Work = armci::Comm::AsyncWork;
-    return poll_sources_ > 0 ? Work::kPolling : queue_.empty() ? Work::kNone : Work::kQueued;
-  });
-}
-
-void Runtime::note_poll_source(int delta) {
-  poll_sources_ += delta;
-  PGASQ_CHECK(poll_sources_ >= 0, << "poll-source underflow");
+  comm.set_async_hook([this] { drain(); }, [this] { check_quiesced(); },
+                      [this] { return work(); });
 }
 
 Runtime::~Runtime() = default;
@@ -69,7 +61,7 @@ void Runtime::drain() {
   // Pollers always step (a continuation blocking on an nbc future
   // re-enters here and the schedule must keep advancing); the queue is
   // owned by the outermost frame so continuation order stays FIFO.
-  for (auto& [id, fn] : pollers_) fn();
+  for (auto& [id, fn] : pollers_) fn(true);
   if (draining_) return;
   draining_ = true;
   while (!queue_.empty()) {
@@ -80,12 +72,24 @@ void Runtime::drain() {
     k();
     // A continuation may have fulfilled promises whose futures belong
     // to a still-initiating nbc op — keep stepping between queue runs.
-    for (auto& [id, fn] : pollers_) fn();
+    for (auto& [id, fn] : pollers_) fn(true);
   }
   draining_ = false;
 }
 
-std::size_t Runtime::register_poller(std::function<void()> fn) {
+armci::Comm::AsyncWork Runtime::work() const {
+  using Work = armci::Comm::AsyncWork;
+  if (!draining_ && !queue_.empty()) return Work::kRun;
+  bool open = false;
+  for (const auto& [id, fn] : pollers_) open = fn(false) || open;
+  if (!open) return Work::kNone;
+  // An open op's step makes progress only after a hop lands or a send
+  // completes locally, and both poke the rank; its stepper clears the
+  // mark before each step.
+  return comm_.process().poked() ? Work::kRun : Work::kOpen;
+}
+
+std::size_t Runtime::register_poller(std::function<bool(bool)> fn) {
   const std::size_t id = next_poller_id_++;
   pollers_.emplace_back(id, std::move(fn));
   return id;

@@ -130,17 +130,17 @@ class Runtime final : public fut::Scheduler {
   /// continuation blocking on a future) step pollers but skip the
   /// queue — the outer frame owns it.
   void drain();
+  /// What drain() would do now (Comm::AsyncWork): run a queued
+  /// continuation it owns, or step an open i-op after the rank was
+  /// poked. A plain read, also made from engine events.
+  armci::Comm::AsyncWork work() const;
 
-  /// Registers a per-progress-pass poller (the non-blocking collectives' stepper);
-  /// returns an id for unregister.
-  std::size_t register_poller(std::function<void()> fn);
+  /// Registers a poller (the non-blocking collectives' stepper);
+  /// returns an id for unregister. drain() calls `fn(true)` to step
+  /// every open op, work() calls `fn(false)` only to look, from engine
+  /// events too; both return whether an op is still open.
+  std::size_t register_poller(std::function<bool(bool step)> fn);
   void unregister_poller(std::size_t id);
-
-  /// Poll-driven completion sources (open non-blocking collectives)
-  /// register here: while any is live, blocking waits advance virtual
-  /// time and re-poll instead of parking — their arrival flags are
-  /// one-sided writes that would never wake a parked fiber.
-  void note_poll_source(int delta);
 
   /// Finalize-time quiescence check: aborts when continuations were
   /// abandoned (registered on futures that never fulfilled, or
@@ -164,10 +164,9 @@ class Runtime final : public fut::Scheduler {
   armci::Comm& comm_;
   AsyncConfig config_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::pair<std::size_t, std::function<void()>>> pollers_;
+  std::vector<std::pair<std::size_t, std::function<bool(bool)>>> pollers_;
   std::size_t next_poller_id_ = 1;
   std::size_t pending_ = 0;  ///< continuations awaiting a value
-  int poll_sources_ = 0;     ///< live poll-completed sources (nbc ops)
   bool draining_ = false;
   std::uint64_t continuations_run_ = 0;
   std::uint64_t gets_revoked_ = 0;

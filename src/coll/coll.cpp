@@ -117,7 +117,10 @@ struct CollEngine::Nbc {
       : rt(async::Runtime::of(e.comm_)),
         arena(e.comm_, e.members_, kNbcSlotNames, e.comm_.next_coll_engine_salt(),
               [&e] { return "coll-nbc/r" + std::to_string(e.comm_.rank()); }),
-        poller(rt.register_poller([&e] { e.step_all(); })),
+        poller(rt.register_poller([&e](bool step) {
+          if (step) e.step_all();
+          return !e.nbc_->open.empty();
+        })),
         open_series(e.comm_.world().machine().sinks().timeline->series(
             "async.nbc_open_ops", obs::Timeline::Kind::kGauge)) {}
 
@@ -506,11 +509,8 @@ fut::Future<fut::Unit> CollEngine::start(Op kind, const char* name,
   op->block = open_block(n.arena, kind, name, bytes, slots);
   // An open op counts as a pending future: an abandoned one (rank
   // divergence, a dropped future) is caught by the runtime's finalize
-  // quiescence check instead of hanging silently. It is also a poll
-  // source — its arrival flags are one-sided writes, so blocking waits
-  // must poll rather than park while it is open.
+  // quiescence check instead of hanging silently.
   n.rt.note_pending(+1);
-  n.rt.note_poll_source(+1);
   if (sim::TraceRecorder* trace = n.arena.trace()) {
     trace->instant(n.arena.track(), std::string(name) + " start", comm_.now());
   }
@@ -527,6 +527,9 @@ void CollEngine::step_all() {
   Nbc& n = *nbc_;
   if (n.stepping) return;
   n.stepping = true;
+  // Every landing and local completion from here on pokes the rank
+  // again, which is what tells a parked wait to step once more.
+  comm_.process().clear_poke();
   for (std::size_t i = 0; i < n.open.size();) {
     if (!step(*n.open[i])) {
       ++i;
@@ -536,7 +539,6 @@ void CollEngine::step_all() {
     n.open.erase(n.open.begin() + static_cast<std::ptrdiff_t>(i));
     ++n.completed;
     n.rt.note_pending(-1);
-    n.rt.note_poll_source(-1);
     if (sim::TraceRecorder* trace = n.arena.trace()) {
       trace->instant(n.arena.track(), std::string(done->name) + " done", comm_.now());
     }

@@ -225,7 +225,7 @@ void Comm::finalize() {
   if (async_check_ && !ft_failed_) async_check_();
   async_hook_ = nullptr;
   async_check_ = nullptr;
-  async_poll_ = nullptr;
+  async_work_ = nullptr;
   async_slot_.reset();
   if (async_running_) {
     async_running_ = false;
@@ -329,13 +329,15 @@ std::size_t Comm::locked_advance(pami::Context& ctx) {
 
 void Comm::progress_until(const std::function<bool()>& pred) {
   pami::Context& ctx = main_context();
+  const std::uint64_t ticket = process_.machine().engine().poll_ticket();
+  bool resumed = false;  // parked, resumed where an empty advance returns
   for (;;) {
     if (!deferred_gets_.empty()) flush_deferred_gets();
     bool done;
     {
       ProgressGuard guard(needs_context_lock(), ctx,
                           process_.machine().params().context_lock_cost);
-      ctx.advance();
+      if (!std::exchange(resumed, false)) ctx.advance();
       done = pred();
     }
     // Drain the async runtime outside the context lock: continuations
@@ -350,23 +352,46 @@ void Comm::progress_until(const std::function<bool()>& pred) {
     // — unwind to the recovery runtime rather than park forever.
     ft_check();
     if (ctx.has_work()) continue;
-    // Open non-blocking collectives complete through one-sided flag
-    // writes that post no context item: parking would sleep through
-    // the landing. Poll instead, at the flag-poll cadence.
-    if (async_poll_ && async_poll_() == AsyncWork::kPolling) {
-      compute(kPollSlice);
-      continue;
+    if (async_work() == AsyncWork::kNone) {
+      // Park (lock released) until the next delivery; with no i-op open
+      // every event this predicate can depend on arrives as an item on
+      // this context.
+      ctx.wait_for_work();
+    } else {
+      // An open i-op's hops are one-sided flag writes that post no
+      // item: poll for them at the flag cadence.
+      resumed = idle_progress_pass(pred, ticket);
     }
-    // Park (lock released) until the next delivery; every event this
-    // predicate can depend on arrives as an item on this context.
-    ctx.wait_for_work();
   }
 }
 
+bool Comm::idle_progress_pass(const std::function<bool()>& pred, std::uint64_t ticket) {
+  const Time poll_cost = process_.machine().params().advance_poll_cost;
+  // A zero cost is charged without a sleep, so it has no instant to poll at.
+  if (poll_cost == 0 || !idle_pass()) {
+    compute(kPollSlice);
+    return false;
+  }
+  // Phase 0 is the next advance's start, phase 1 its return.
+  const std::function<bool(int)> idle = [this, &pred](int phase) {
+    return phase == 0 ? empty_advance() : idle_pass() && !pred();
+  };
+  const Time start = now();
+  const int phase = process_.machine().engine().poll_idle(
+      kPollSlice, poll_cost, ticket, idle, process_.parked_poll(), true);
+  // One empty advance per skipped pass; resumed at phase 1, the last
+  // one has just returned.
+  main_context().count_empty_advance(
+      static_cast<std::uint64_t>((now() - start) / (kPollSlice + poll_cost)));
+  return phase == 1;
+}
+
+bool Comm::empty_advance() {
+  return deferred_gets_.empty() && !needs_context_lock() && !main_context().has_work();
+}
+
 bool Comm::idle_pass() {
-  return monitor_ == nullptr && deferred_gets_.empty() && !needs_context_lock() &&
-         !main_context().has_work() &&
-         (!async_poll_ || async_poll_() == AsyncWork::kNone);
+  return monitor_ == nullptr && empty_advance() && async_work() != AsyncWork::kRun;
 }
 
 void Comm::poll_until(const std::function<bool()>& pred, Time slice) {
@@ -386,8 +411,9 @@ void Comm::poll_until(const std::function<bool()>& pred, Time slice) {
     if (poll_cost > 0 && slice > 0 && idle_pass()) {
       main_context().count_empty_advance();
       const Time start = now();
-      const int phase =
-          engine.poll_idle(poll_cost, slice, ticket, idle, process_.parked_poll());
+      const int phase = engine.poll_idle(poll_cost, slice, ticket, idle,
+                                         process_.parked_poll(),
+                                         async_work() != AsyncWork::kNone);
       // The passes between that started idle: one empty advance each.
       main_context().count_empty_advance(
           static_cast<std::uint64_t>((now() - start) / (poll_cost + slice) - phase));

@@ -238,19 +238,26 @@ class Comm {
 
   /// Virtual compute time between two polls of a one-sided flag: the
   /// cadence of the collectives' blocking waits (poll_until slices)
-  /// and of progress_until while a poll-driven source is open.
+  /// and of progress_until while a non-blocking collective is open.
   static constexpr Time kPollSlice = from_ns(200);
 
-  /// Spins progress passes (advancing virtual time) until `pred`
-  /// returns true. The async runtime's future waits and the
-  /// non-blocking collectives drain on this.
+  /// Runs progress passes — advance, `pred`, async drain, `pred` —
+  /// until `pred` returns true; every blocking wait on a handle, a
+  /// fence or a future is built on it. A pass that finds nothing to do
+  /// parks the rank. With no non-blocking collective (i-op) open it
+  /// parks on the main context until an item arrives. With one open,
+  /// whose hops are one-sided flag writes that post no item, it polls
+  /// at the flag cadence, `compute(kPollSlice)` then the next advance,
+  /// and parks in sim::Engine::poll_idle like poll_until: phase 0 is
+  /// the advance's start, idle while the advance would be empty, and
+  /// phase 1 its return, where `pred` and the drain run. `pred` is
+  /// then read from engine events too (see poll_until).
   void progress_until(const std::function<bool()>& pred);
 
   /// The idle poll loop `while (!pred()) { progress(); compute(slice); }`
   /// for waits whose completion posts no context item (one-sided flag
-  /// writes, the hardware collective model). Once a pass is idle —
-  /// nothing queued on the main context, nothing for the async runtime
-  /// to run — the rank parks in sim::Engine::poll_idle and schedules
+  /// writes, the hardware collective model). Once a pass is idle
+  /// (idle_pass) the rank parks in sim::Engine::poll_idle and schedules
   /// nothing. Its pass instants are poll wakes, which run after every
   /// ordinary event of their instant, in the order the waits began
   /// (a ticket taken at entry), so a flag that lands at T is seen at T.
@@ -266,10 +273,11 @@ class Comm {
   /// parking must match. A pass runs on the fiber whenever an ft
   /// monitor exists, deferred gets are queued, the context lock is
   /// needed, the main context has work or the async runtime would run
-  /// anything. `pred` is also evaluated from engine events, outside
-  /// any fiber, so it must be a plain read of memory; keep its
-  /// captures within 16 bytes so std::function stores it inline
-  /// (DESIGN.md §5).
+  /// anything: a queued continuation, or a step of an open i-op after
+  /// a poke (one of its hops may have landed). `pred` is also
+  /// evaluated from engine events, outside any fiber, so it must be a
+  /// plain read of memory; keep its captures within 16 bytes so
+  /// std::function stores it inline (DESIGN.md §5).
   void poll_until(const std::function<bool()>& pred, Time slice);
 
   /// Pairwise producer/consumer synchronization (armci_notify):
@@ -345,32 +353,25 @@ class Comm {
   /// after the collectives engine detaches — nbc completions drain
   /// through the runtime during coll teardown).
   std::shared_ptr<void>& async_slot() { return async_slot_; }
+  /// What the async runtime's drain would do if it ran now.
+  enum class AsyncWork : std::uint8_t {
+    kNone,  ///< nothing, and no non-blocking collective (i-op) is open
+    kOpen,  ///< nothing: an i-op is open, but no poke since its last step
+    kRun,   ///< run a queued continuation, or step an i-op after a poke
+  };
   /// Installed by the runtime. `drain` runs after every progress pass
   /// — on this rank's application fiber, outside the context lock —
-  /// stepping non-blocking collectives and running queued
-  /// continuations in FIFO (virtual-time) order. `check` runs at
-  /// finalize, before the runtime detaches, and aborts on abandoned
-  /// continuations. Both nullptr-guarded: unattached runs pay one
-  /// pointer compare per progress pass.
-  void set_async_hook(std::function<void()> drain, std::function<void()> check) {
+  /// stepping open i-ops and running queued continuations in FIFO
+  /// (virtual-time) order. `check` runs at finalize, before the
+  /// runtime detaches, and aborts on abandoned continuations. `work`
+  /// says what `drain` would do; it is read from engine events too, so
+  /// it must be a plain read. All nullptr-guarded: unattached runs pay
+  /// one pointer compare per progress pass.
+  void set_async_hook(std::function<void()> drain, std::function<void()> check,
+                      std::function<AsyncWork()> work) {
     async_hook_ = std::move(drain);
     async_check_ = std::move(check);
-  }
-  /// What the async runtime's next drain would do.
-  enum class AsyncWork : std::uint8_t {
-    kNone,     ///< nothing: no poll source open, no continuation queued
-    kQueued,   ///< run queued continuations (no poll source open)
-    kPolling,  ///< step an open poll-driven completion source
-  };
-  /// Installed by the runtime alongside the drain hook. kPolling while
-  /// a poll-driven completion source is live (open non-blocking
-  /// collectives, whose arrival flags are one-sided RDMA writes that
-  /// post no context item): progress_until then advances virtual time
-  /// and re-polls instead of parking on context work — parking would
-  /// sleep through a flag landing and deadlock. poll_until replays an
-  /// idle pass only at kNone.
-  void set_async_poll_hook(std::function<AsyncWork()> poll) {
-    async_poll_ = std::move(poll);
+    async_work_ = std::move(work);
   }
 
   // --- Process-group-subsystem attachment (src/grp) ----------------------------
@@ -436,8 +437,20 @@ class Comm {
   bool needs_context_lock() const;
   /// Returns the number of items serviced (Context::advance's count).
   std::size_t locked_advance(pami::Context& ctx);
-  /// True when a poll_until pass would do nothing but an empty
-  /// advance and its compute slice (see poll_until).
+  AsyncWork async_work() const {
+    return async_work_ ? async_work_() : AsyncWork::kNone;
+  }
+  /// True when an advance would find nothing to do: no deferred get to
+  /// inject, no context lock to take, no item queued.
+  bool empty_advance();
+  /// progress_until's pass after an idle one while an i-op is open:
+  /// `compute(kPollSlice)`, parked in sim::Engine::poll_idle when the
+  /// pass is idle. True when it resumed at phase 1, where an empty
+  /// advance returns.
+  bool idle_progress_pass(const std::function<bool()>& pred, std::uint64_t ticket);
+  /// True when a pass of either poll loop would do nothing but an
+  /// empty advance and its compute slice: empty_advance(), no ft
+  /// monitor to probe and nothing for the async runtime's drain to run.
   bool idle_pass();
   void start_async_thread();
   /// Injects every queued deferred get (skipping revoked ones).
@@ -547,7 +560,7 @@ class Comm {
   std::shared_ptr<void> async_slot_;
   std::function<void()> async_hook_;
   std::function<void()> async_check_;
-  std::function<AsyncWork()> async_poll_;
+  std::function<AsyncWork()> async_work_;
   std::vector<std::shared_ptr<DeferredGet>> deferred_gets_;
   std::uint64_t coll_engine_seq_ = 0;
 };

@@ -75,13 +75,20 @@ class Process {
   /// The poll loop this rank's thread is parked in (armci::Comm::
   /// poll_until), or nullptr; held by sim::Engine::poll_idle.
   sim::IdlePoll*& parked_poll() { return parked_; }
-  /// Schedules a check of the parked poll loop, if any, at its next
-  /// instant. Called by every event that can change what such a loop
-  /// waits for: a post or an advance on one of this rank's contexts,
-  /// an RDMA write into its memory, a hw-collective completion.
+  /// Marks the rank poked and schedules a check of the parked poll
+  /// loop, if any, at its next instant. Called by every event that can
+  /// change what such a loop waits for: a post or an advance on one of
+  /// this rank's contexts, an RDMA write into its memory, a
+  /// hw-collective completion.
   void poke() {
+    poked_ = true;
     if (parked_ != nullptr) poke_parked();
   }
+  /// True when poke() ran since the last clear_poke(). The stepper of
+  /// the open non-blocking collectives clears it before each step, so
+  /// a step can only make progress while it is set.
+  bool poked() const { return poked_; }
+  void clear_poke() { poked_ = false; }
 
   const SpaceStats& space() const { return space_; }
 
@@ -93,6 +100,7 @@ class Process {
   RankId rank_;
   int node_;
   bool client_created_ = false;
+  bool poked_ = false;
   std::vector<std::unique_ptr<Context>> contexts_;
   RegionTable regions_;
   SpaceStats space_;
