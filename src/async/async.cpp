@@ -26,10 +26,6 @@ Runtime& Runtime::of(armci::Comm& comm) {
   return *static_cast<Runtime*>(slot.get());
 }
 
-Runtime* Runtime::maybe_of(armci::Comm& comm) {
-  return static_cast<Runtime*>(comm.async_slot().get());
-}
-
 Runtime::Runtime(armci::Comm& comm)
     : comm_(comm), config_(AsyncConfig::from_options(comm.options())) {
   timeline_ = comm.world().machine().sinks().timeline;
@@ -58,21 +54,20 @@ void Runtime::note_pending(int delta) {
 }
 
 void Runtime::drain() {
-  // Pollers always step (a continuation blocking on an nbc future
+  // The poller always steps (a continuation blocking on an nbc future
   // re-enters here and the schedule must keep advancing); the queue is
   // owned by the outermost frame so continuation order stays FIFO.
-  for (auto& [id, fn] : pollers_) fn(true);
+  if (poller_) poller_(true);
   if (draining_) return;
   draining_ = true;
   while (!queue_.empty()) {
     auto k = std::move(queue_.front());
     queue_.pop_front();
-    ++continuations_run_;
     sample_gauges();
     k();
     // A continuation may have fulfilled promises whose futures belong
     // to a still-initiating nbc op — keep stepping between queue runs.
-    for (auto& [id, fn] : pollers_) fn(true);
+    if (poller_) poller_(true);
   }
   draining_ = false;
 }
@@ -80,28 +75,11 @@ void Runtime::drain() {
 armci::Comm::AsyncWork Runtime::work() const {
   using Work = armci::Comm::AsyncWork;
   if (!draining_ && !queue_.empty()) return Work::kRun;
-  bool open = false;
-  for (const auto& [id, fn] : pollers_) open = fn(false) || open;
-  if (!open) return Work::kNone;
+  if (!poller_ || !poller_(false)) return Work::kNone;
   // An open op's step makes progress only after a hop lands or a send
   // completes locally, and both poke the rank; its stepper clears the
   // mark before each step.
   return comm_.process().poked() ? Work::kRun : Work::kOpen;
-}
-
-std::size_t Runtime::register_poller(std::function<bool(bool)> fn) {
-  const std::size_t id = next_poller_id_++;
-  pollers_.emplace_back(id, std::move(fn));
-  return id;
-}
-
-void Runtime::unregister_poller(std::size_t id) {
-  for (auto it = pollers_.begin(); it != pollers_.end(); ++it) {
-    if (it->first == id) {
-      pollers_.erase(it);
-      return;
-    }
-  }
 }
 
 void Runtime::check_quiesced() const {
@@ -132,28 +110,26 @@ fut::Future<fut::Unit> Runtime::future_of(armci::Handle& h) {
   return p.future();
 }
 
+template <typename Issue>
+fut::Future<fut::Unit> Runtime::with_completion(Cx cx, Issue issue) {
+  armci::Handle h;
+  if (cx == Cx::kRemote) {
+    fut::Promise<fut::Unit> p(*this);
+    issue(h, [p] { p.fulfill(fut::Unit{}); });
+    return p.future();
+  }
+  issue(h, nullptr);
+  // Puts and accs snapshot the source at injection (pami rput stages a
+  // copy; the AM fall-back copies the payload), so source completion
+  // is satisfied when the initiation returns.
+  return cx == Cx::kSource ? fut::make_ready(*this, fut::Unit{}) : future_of(h);
+}
+
 fut::Future<fut::Unit> Runtime::put(const void* src, armci::RemotePtr dst,
                                     std::size_t bytes, Cx cx) {
-  armci::Handle h;
-  switch (cx) {
-    case Cx::kSource: {
-      // Puts snapshot the source at injection (pami rput stages a
-      // copy; the AM fall-back copies the payload) — source completion
-      // is satisfied when the initiation returns.
-      comm_.nb_put(src, dst, bytes, h);
-      return fut::make_ready(*this, fut::Unit{});
-    }
-    case Cx::kOperation: {
-      comm_.nb_put(src, dst, bytes, h);
-      return future_of(h);
-    }
-    case Cx::kRemote: {
-      fut::Promise<fut::Unit> p(*this);
-      comm_.nb_put(src, dst, bytes, h, [p] { p.fulfill(fut::Unit{}); });
-      return p.future();
-    }
-  }
-  PGASQ_UNREACHABLE("completion variant");
+  return with_completion(cx, [&](armci::Handle& h, pami::Callback on_remote) {
+    comm_.nb_put(src, dst, bytes, h, std::move(on_remote));
+  });
 }
 
 fut::Future<fut::Unit> Runtime::get(armci::RemotePtr src, void* dst,
@@ -168,23 +144,9 @@ fut::Future<fut::Unit> Runtime::get(armci::RemotePtr src, void* dst,
 fut::Future<fut::Unit> Runtime::acc(double alpha, const double* src,
                                     armci::RemotePtr dst, std::size_t count,
                                     Cx cx) {
-  armci::Handle h;
-  switch (cx) {
-    case Cx::kSource: {
-      comm_.nb_acc(alpha, src, dst, count, h);
-      return fut::make_ready(*this, fut::Unit{});
-    }
-    case Cx::kOperation: {
-      comm_.nb_acc(alpha, src, dst, count, h);
-      return future_of(h);
-    }
-    case Cx::kRemote: {
-      fut::Promise<fut::Unit> p(*this);
-      comm_.nb_acc(alpha, src, dst, count, h, [p] { p.fulfill(fut::Unit{}); });
-      return p.future();
-    }
-  }
-  PGASQ_UNREACHABLE("completion variant");
+  return with_completion(cx, [&](armci::Handle& h, pami::Callback on_remote) {
+    comm_.nb_acc(alpha, src, dst, count, h, std::move(on_remote));
+  });
 }
 
 RevocableGet Runtime::get_revocable(armci::RemotePtr src, void* dst,
@@ -202,7 +164,6 @@ bool Runtime::revoke(RevocableGet& g) {
     ++gets_revoked_;
     return true;
   }
-  if (!g.op->handle.done()) ++gets_abandoned_;
   return false;
 }
 

@@ -68,8 +68,6 @@ class Runtime final : public fut::Scheduler {
   /// The runtime attached to `comm`, created (and hooked into the
   /// progress engine) on first use.
   static Runtime& of(armci::Comm& comm);
-  /// The attached runtime, or nullptr — never creates.
-  static Runtime* maybe_of(armci::Comm& comm);
 
   explicit Runtime(armci::Comm& comm);
   ~Runtime() override;
@@ -104,7 +102,7 @@ class Runtime final : public fut::Scheduler {
   /// True when the op was revoked before injection (fully cancelled:
   /// no traffic, no byte counted; handle and future complete "empty").
   /// False when the op was already injected — it is then abandoned:
-  /// left to finish normally, runtime counters track it.
+  /// left to finish normally.
   bool revoke(RevocableGet& g);
 
   // --- Aggregation ----------------------------------------------------------
@@ -124,10 +122,10 @@ class Runtime final : public fut::Scheduler {
 
   // --- Progress -------------------------------------------------------------
 
-  /// One pass of the runtime: step registered pollers (non-blocking
+  /// One pass of the runtime: step the poller (non-blocking
   /// collectives), then drain the continuation queue FIFO. Invoked by
   /// Comm's progress paths via the async hook; reentrant calls (a
-  /// continuation blocking on a future) step pollers but skip the
+  /// continuation blocking on a future) step the poller but skip the
   /// queue — the outer frame owns it.
   void drain();
   /// What drain() would do now (Comm::AsyncWork): run a queued
@@ -135,12 +133,10 @@ class Runtime final : public fut::Scheduler {
   /// poked. A plain read, also made from engine events.
   armci::Comm::AsyncWork work() const;
 
-  /// Registers a poller (the non-blocking collectives' stepper);
-  /// returns an id for unregister. drain() calls `fn(true)` to step
-  /// every open op, work() calls `fn(false)` only to look, from engine
-  /// events too; both return whether an op is still open.
-  std::size_t register_poller(std::function<bool(bool step)> fn);
-  void unregister_poller(std::size_t id);
+  /// Installs the world collectives engine's stepper (nullptr detaches
+  /// it). drain() calls `fn(true)` to step every open op, work() calls
+  /// `fn(false)` only to look; both return whether an op is open.
+  void set_poller(std::function<bool(bool step)> fn) { poller_ = std::move(fn); }
 
   /// Finalize-time quiescence check: aborts when continuations were
   /// abandoned (registered on futures that never fulfilled, or
@@ -151,26 +147,24 @@ class Runtime final : public fut::Scheduler {
   // --- Introspection --------------------------------------------------------
 
   std::size_t queue_depth() const { return queue_.size(); }
-  std::size_t pending_continuations() const { return pending_; }
-  std::uint64_t continuations_run() const { return continuations_run_; }
   std::uint64_t gets_revoked() const { return gets_revoked_; }
-  std::uint64_t gets_abandoned() const { return gets_abandoned_; }
   const AsyncConfig& config() const { return config_; }
   armci::Comm& comm() { return comm_; }
 
  private:
+  /// Issues an op through `issue(handle, on_remote)` and returns the
+  /// future of completion variant `cx`.
+  template <typename Issue>
+  fut::Future<fut::Unit> with_completion(Cx cx, Issue issue);
   void sample_gauges();
 
   armci::Comm& comm_;
   AsyncConfig config_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::pair<std::size_t, std::function<bool(bool)>>> pollers_;
-  std::size_t next_poller_id_ = 1;
+  std::function<bool(bool)> poller_;
   std::size_t pending_ = 0;  ///< continuations awaiting a value
   bool draining_ = false;
-  std::uint64_t continuations_run_ = 0;
   std::uint64_t gets_revoked_ = 0;
-  std::uint64_t gets_abandoned_ = 0;
   // Timeline series (kNone when obs.timeline is off).
   obs::Timeline* timeline_ = nullptr;
   obs::Timeline::SeriesId pending_series_ = obs::Timeline::kNone;

@@ -117,16 +117,16 @@ struct CollEngine::Nbc {
       : rt(async::Runtime::of(e.comm_)),
         arena(e.comm_, e.members_, kNbcSlotNames, e.comm_.next_coll_engine_salt(),
               [&e] { return "coll-nbc/r" + std::to_string(e.comm_.rank()); }),
-        poller(rt.register_poller([&e](bool step) {
-          if (step) e.step_all();
-          return !e.nbc_->open.empty();
-        })),
         open_series(e.comm_.world().machine().sinks().timeline->series(
-            "async.nbc_open_ops", obs::Timeline::Kind::kGauge)) {}
+            "async.nbc_open_ops", obs::Timeline::Kind::kGauge)) {
+    rt.set_poller([&e](bool step) {
+      if (step) e.step_all();
+      return !e.nbc_->open.empty();
+    });
+  }
 
   async::Runtime& rt;
   SlotArena arena;
-  std::size_t poller;
   obs::Timeline::SeriesId open_series;
   std::deque<std::unique_ptr<IOp>> open;
   bool stepping = false;
@@ -319,7 +319,7 @@ CollEngine::~CollEngine() {
   // runtime's finalize quiescence check turns them into a diagnostic
   // abort. Never throw from here.
   if (!nbc_) return;
-  nbc_->rt.unregister_poller(nbc_->poller);
+  nbc_->rt.set_poller(nullptr);
   nbc_->arena.release_stages();
 }
 

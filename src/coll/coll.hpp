@@ -193,9 +193,10 @@ class CollEngine {
   // Non-blocking collectives (coll.cpp).
   fut::Future<fut::Unit> start(Op kind, const char* name, std::byte* data,
                                std::size_t bytes, int root, std::size_t slots);
-  /// Steps every open op in initiation order; completed ops fulfill
-  /// their futures. Re-entrancy-guarded (a checksum re-fetch blocks
-  /// briefly, and its progress re-enters here).
+  /// Clears the rank's poke mark, then steps every open op in
+  /// initiation order; completed ops fulfill their futures.
+  /// Re-entrancy-guarded (a checksum re-fetch blocks briefly, and its
+  /// progress re-enters here).
   void step_all();
   /// Advances one op; true when complete.
   bool step(IOp& op);

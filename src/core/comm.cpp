@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "flow/flow.hpp"
 #include "ft/liveness.hpp"
@@ -329,6 +330,7 @@ std::size_t Comm::locked_advance(pami::Context& ctx) {
 
 void Comm::progress_until(const std::function<bool()>& pred) {
   pami::Context& ctx = main_context();
+  const Time poll_cost = process_.machine().params().advance_poll_cost;
   const std::uint64_t ticket = process_.machine().engine().poll_ticket();
   bool resumed = false;  // parked, resumed where an empty advance returns
   for (;;) {
@@ -357,33 +359,25 @@ void Comm::progress_until(const std::function<bool()>& pred) {
       // every event this predicate can depend on arrives as an item on
       // this context.
       ctx.wait_for_work();
+    } else if (poll_cost > 0 && idle_pass()) {
+      // An open i-op's hops are one-sided writes that post no item:
+      // poll at the flag cadence, parked while the passes are idle.
+      // Phase 0 is an advance's start, phase 1 its return.
+      const std::function<bool(int)> idle = [this, &pred](int phase) {
+        return phase == 0 ? empty_advance() : idle_pass() && !pred();
+      };
+      const Time start = now();
+      resumed = process_.machine().engine().poll_idle(kPollSlice, poll_cost, ticket, idle,
+                                                      process_.parked_poll()) == 1;
+      // One empty advance returned in each full period waited.
+      main_context().count_empty_advance(
+          static_cast<std::uint64_t>((now() - start) / (kPollSlice + poll_cost)));
     } else {
-      // An open i-op's hops are one-sided flag writes that post no
-      // item: poll for them at the flag cadence.
-      resumed = idle_progress_pass(pred, ticket);
+      // The drain has work, or the pass cannot park (an ft monitor,
+      // the context lock, a zero poll cost): wait the slice on the fiber.
+      compute(kPollSlice);
     }
   }
-}
-
-bool Comm::idle_progress_pass(const std::function<bool()>& pred, std::uint64_t ticket) {
-  const Time poll_cost = process_.machine().params().advance_poll_cost;
-  // A zero cost is charged without a sleep, so it has no instant to poll at.
-  if (poll_cost == 0 || !idle_pass()) {
-    compute(kPollSlice);
-    return false;
-  }
-  // Phase 0 is the next advance's start, phase 1 its return.
-  const std::function<bool(int)> idle = [this, &pred](int phase) {
-    return phase == 0 ? empty_advance() : idle_pass() && !pred();
-  };
-  const Time start = now();
-  const int phase = process_.machine().engine().poll_idle(
-      kPollSlice, poll_cost, ticket, idle, process_.parked_poll(), true);
-  // One empty advance per skipped pass; resumed at phase 1, the last
-  // one has just returned.
-  main_context().count_empty_advance(
-      static_cast<std::uint64_t>((now() - start) / (kPollSlice + poll_cost)));
-  return phase == 1;
 }
 
 bool Comm::empty_advance() {
@@ -411,9 +405,8 @@ void Comm::poll_until(const std::function<bool()>& pred, Time slice) {
     if (poll_cost > 0 && slice > 0 && idle_pass()) {
       main_context().count_empty_advance();
       const Time start = now();
-      const int phase = engine.poll_idle(poll_cost, slice, ticket, idle,
-                                         process_.parked_poll(),
-                                         async_work() != AsyncWork::kNone);
+      const int phase =
+          engine.poll_idle(poll_cost, slice, ticket, idle, process_.parked_poll());
       // The passes between that started idle: one empty advance each.
       main_context().count_empty_advance(
           static_cast<std::uint64_t>((now() - start) / (poll_cost + slice) - phase));

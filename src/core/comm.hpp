@@ -241,17 +241,13 @@ class Comm {
   /// and of progress_until while a non-blocking collective is open.
   static constexpr Time kPollSlice = from_ns(200);
 
-  /// Runs progress passes — advance, `pred`, async drain, `pred` —
-  /// until `pred` returns true; every blocking wait on a handle, a
-  /// fence or a future is built on it. A pass that finds nothing to do
-  /// parks the rank. With no non-blocking collective (i-op) open it
-  /// parks on the main context until an item arrives. With one open,
-  /// whose hops are one-sided flag writes that post no item, it polls
-  /// at the flag cadence, `compute(kPollSlice)` then the next advance,
-  /// and parks in sim::Engine::poll_idle like poll_until: phase 0 is
-  /// the advance's start, idle while the advance would be empty, and
-  /// phase 1 its return, where `pred` and the drain run. `pred` is
-  /// then read from engine events too (see poll_until).
+  /// Runs progress passes (advance, `pred`, async drain, `pred`) until
+  /// `pred` holds. After an idle pass the rank parks on the main
+  /// context until an item arrives. While a non-blocking collective
+  /// (i-op) is open, whose hops post no item, it polls at the flag
+  /// cadence instead and parks like poll_until: phase 0 is an advance's
+  /// start, phase 1 its return, where `pred` and the drain run, so
+  /// `pred` must then be a plain read as well.
   void progress_until(const std::function<bool()>& pred);
 
   /// The idle poll loop `while (!pred()) { progress(); compute(slice); }`
@@ -273,11 +269,10 @@ class Comm {
   /// parking must match. A pass runs on the fiber whenever an ft
   /// monitor exists, deferred gets are queued, the context lock is
   /// needed, the main context has work or the async runtime would run
-  /// anything: a queued continuation, or a step of an open i-op after
-  /// a poke (one of its hops may have landed). `pred` is also
-  /// evaluated from engine events, outside any fiber, so it must be a
-  /// plain read of memory; keep its captures within 16 bytes so
-  /// std::function stores it inline (DESIGN.md §5).
+  /// anything. `pred` is also evaluated from engine events, outside
+  /// any fiber, so it must be a plain read of memory; keep its
+  /// captures within 16 bytes so std::function stores it inline
+  /// (DESIGN.md §5).
   void poll_until(const std::function<bool()>& pred, Time slice);
 
   /// Pairwise producer/consumer synchronization (armci_notify):
@@ -362,11 +357,9 @@ class Comm {
   /// Installed by the runtime. `drain` runs after every progress pass
   /// — on this rank's application fiber, outside the context lock —
   /// stepping open i-ops and running queued continuations in FIFO
-  /// (virtual-time) order. `check` runs at finalize, before the
-  /// runtime detaches, and aborts on abandoned continuations. `work`
-  /// says what `drain` would do; it is read from engine events too, so
-  /// it must be a plain read. All nullptr-guarded: unattached runs pay
-  /// one pointer compare per progress pass.
+  /// (virtual-time) order. `check` runs at finalize and aborts on
+  /// abandoned continuations. `work` is a plain read, also made from
+  /// engine events. Unattached runs pay one pointer compare per pass.
   void set_async_hook(std::function<void()> drain, std::function<void()> check,
                       std::function<AsyncWork()> work) {
     async_hook_ = std::move(drain);
@@ -437,20 +430,13 @@ class Comm {
   bool needs_context_lock() const;
   /// Returns the number of items serviced (Context::advance's count).
   std::size_t locked_advance(pami::Context& ctx);
-  AsyncWork async_work() const {
-    return async_work_ ? async_work_() : AsyncWork::kNone;
-  }
-  /// True when an advance would find nothing to do: no deferred get to
-  /// inject, no context lock to take, no item queued.
+  AsyncWork async_work() const { return async_work_ ? async_work_() : AsyncWork::kNone; }
+  /// True when an advance would be empty: no deferred get to inject, no
+  /// context lock to take, no item queued.
   bool empty_advance();
-  /// progress_until's pass after an idle one while an i-op is open:
-  /// `compute(kPollSlice)`, parked in sim::Engine::poll_idle when the
-  /// pass is idle. True when it resumed at phase 1, where an empty
-  /// advance returns.
-  bool idle_progress_pass(const std::function<bool()>& pred, std::uint64_t ticket);
   /// True when a pass of either poll loop would do nothing but an
-  /// empty advance and its compute slice: empty_advance(), no ft
-  /// monitor to probe and nothing for the async runtime's drain to run.
+  /// empty advance and a compute slice: also no ft monitor to probe and
+  /// nothing for the async drain to run.
   bool idle_pass();
   void start_async_thread();
   /// Injects every queued deferred get (skipping revoked ones).

@@ -73,7 +73,8 @@ class Process {
   Time now() const;
 
   /// The poll loop this rank's thread is parked in (armci::Comm::
-  /// poll_until), or nullptr; held by sim::Engine::poll_idle.
+  /// poll_until or progress_until), or nullptr; held by
+  /// sim::Engine::poll_idle.
   sim::IdlePoll*& parked_poll() { return parked_; }
   /// Marks the rank poked and schedules a check of the parked poll
   /// loop, if any, at its next instant. Called by every event that can
@@ -84,9 +85,8 @@ class Process {
     poked_ = true;
     if (parked_ != nullptr) poke_parked();
   }
-  /// True when poke() ran since the last clear_poke(). The stepper of
-  /// the open non-blocking collectives clears it before each step, so
-  /// a step can only make progress while it is set.
+  /// Whether poke() ran since clear_poke(), which the non-blocking
+  /// collectives' stepper calls before each step.
   bool poked() const { return poked_; }
   void clear_poke() { poked_ = false; }
 

@@ -215,13 +215,12 @@ void Engine::suspend() {
 void Engine::yield() { sleep_for(0); }
 
 int Engine::poll_idle(Time first, Time second, std::uint64_t ticket,
-                      const std::function<bool(int)>& idle, IdlePoll*& slot,
-                      bool step) {
+                      const std::function<bool(int)>& idle, IdlePoll*& slot) {
   PGASQ_CHECK(first > 0 && second > 0, << "poll loop needs positive sleeps");
   Fiber* self = current_;
   PGASQ_CHECK(self != nullptr, << "poll_idle outside a fiber");
   IdlePoll poll{self, first, second, now_, ticket, &idle, &slot};
-  if (step || trace_ != nullptr || timeline_->enabled()) {
+  if (trace_ != nullptr || timeline_->enabled()) {
     // Observed: every instant is a fiber slice, under the key a parked
     // loop's check would have there.
     for (Time t = now_ + first;; t += poll.phase == 0 ? first : second) {

@@ -123,10 +123,8 @@ class Engine {
   /// timeline observes fiber switches, the loop steps instead: every
   /// instant switches into the fiber, which evaluates `idle` itself.
   /// Either way the instant and the order of the resume are the same.
-  /// `step` makes an unobserved loop step too.
   int poll_idle(Time first, Time second, std::uint64_t ticket,
-                const std::function<bool(int)>& idle, IdlePoll*& slot,
-                bool step = false);
+                const std::function<bool(int)>& idle, IdlePoll*& slot);
   /// Wakes a parked poll loop for a check at its next instant; a no-op
   /// while a check is already pending.
   void poke(IdlePoll& poll);

@@ -333,6 +333,103 @@ TEST(Nbc, OpsOverlapWithOneSidedTraffic) {
 }
 
 // ---------------------------------------------------------------------------
+// A blocking wait keeps stepping the open i-ops. Every rank starts an
+// ibarrier; rank 0 then enters a blocking barrier while ranks 1-3 wait
+// on the ibarrier first. The ibarrier needs rank 0's hops, so rank 0's
+// parked barrier wait must step it whenever one of its hops lands:
+// progress_until's with the hardware barrier, poll_until's slot waits
+// with the software one.
+
+void blocking_barrier_under_open_ibarrier(bool hw) {
+  armci::WorldConfig cfg = make_cfg(4);
+  cfg.armci.coll = {{"hw", hw ? "1" : "0"}};
+  armci::World world(cfg);
+  world.spmd([](armci::Comm& comm) {
+    async::Runtime& rt = async::Runtime::of(comm);
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    fut::Future<fut::Unit> f = engine.ibarrier();
+    if (comm.rank() == 0) engine.barrier();
+    rt.wait(f);
+    if (comm.rank() != 0) engine.barrier();
+    EXPECT_EQ(engine.open_ops(), 0u);
+  });
+}
+
+TEST(Nbc, BlockingBarrierStepsAnOpenIbarrierHardware) {
+  blocking_barrier_under_open_ibarrier(true);
+}
+
+TEST(Nbc, BlockingBarrierStepsAnOpenIbarrierSoftware) {
+  blocking_barrier_under_open_ibarrier(false);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned i-op waits: with an iallreduce and an ibarrier open, the waits
+// of progress_until park between landings, which must leave virtual
+// time and the advance counters where the stepped loop leaves them. A
+// timeline observes every fiber switch, so its run steps every pass on
+// the fiber and is the reference; the unobserved run must give the
+// same figures from under a quarter of its engine events.
+
+struct IopWaitCost {
+  Time elapsed;
+  std::uint64_t advances;
+  std::uint64_t empty;
+  std::uint64_t events;
+};
+
+IopWaitCost run_pinned_iop_waits(bool timeline) {
+  armci::WorldConfig cfg = make_cfg(8);
+  cfg.armci.coll = {{"hw", "0"}};
+  cfg.machine.obs.timeline = timeline;
+  armci::World world(cfg);
+  world.spmd([](armci::Comm& comm) {
+    async::Runtime& rt = async::Runtime::of(comm);
+    coll::CollEngine& engine = coll::CollEngine::of(comm);
+    std::vector<double> x(32);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = comm.rank() + 0.25 * static_cast<double>(i);
+    for (int iter = 0; iter < 3; ++iter) {
+      fut::Future<fut::Unit> red = engine.iallreduce_sum(x.data(), x.size());
+      fut::Future<fut::Unit> bar = engine.ibarrier();
+      // Uneven compute slices between progress calls: fast ranks then
+      // wait for the slow ones' hops.
+      for (int k = 0; k < 4; ++k) {
+        comm.compute(from_us(1.0 + 2.0 * comm.rank()));
+        comm.progress();
+      }
+      rt.wait(red);
+      rt.wait(bar);
+    }
+    // Three sums over 8 ranks of (rank + i/4): 64 * (28 + 2i).
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], 64.0 * (28.0 + 2.0 * static_cast<double>(i))) << "element " << i;
+    }
+  });
+  IopWaitCost cost{world.elapsed(), 0, 0, world.machine().engine().events_processed()};
+  for (int r = 0; r < 8; ++r) {
+    pami::Process& proc = world.machine().process(r);
+    for (int c = 0; c < proc.num_contexts(); ++c) {
+      cost.advances += proc.context(c).stats().advance_calls;
+      cost.empty += proc.context(c).stats().empty_advances;
+    }
+  }
+  return cost;
+}
+
+TEST(NbcPinned, IopWaitTimingAndAdvanceCounts) {
+  IopWaitCost cost[2] = {};
+  for (const bool timeline : {false, true}) {
+    SCOPED_TRACE(timeline ? "obs.timeline=1" : "obs off");
+    cost[timeline] = run_pinned_iop_waits(timeline);
+    EXPECT_EQ(cost[timeline].elapsed, Time{5654683521});
+    EXPECT_EQ(cost[timeline].advances, 2669u);
+    EXPECT_EQ(cost[timeline].empty, 2528u);
+  }
+  // Parked, an idle pass schedules no event: only landings do.
+  EXPECT_LT(cost[0].events * 4, cost[1].events);
+}
+
+// ---------------------------------------------------------------------------
 // Fault transparency: packet loss triggers the retransmit protocol and
 // silent corruption trips the integrity layer's slot checksums — the
 // non-blocking schedule must re-fetch and deliver byte-identical
