@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -203,12 +204,14 @@ Transfer LinkContentionModel::transfer(int src_node, int dst_node,
   Time head = claim_injection(
       src_node, flow_acquire(src_node, dst_node, start, opts), ser);
   Time inject_done = start;
-  std::vector<topo::Link> route;
+  std::vector<topo::Link> detour;
+  std::span<const topo::Link> route;
   const bool faulty = injector_ != nullptr &&
                       (injector_->has_link_faults() || injector_->has_node_fails());
   double path_capacity = 1.0;
   if (faulty) {
-    route = faulted_route(src_node, dst_node, start, &path_capacity);
+    detour = faulted_route(src_node, dst_node, start, &path_capacity);
+    route = detour;
   } else {
     std::array<int, topo::kDims> order{0, 1, 2, 3, 4};
     if (params_.dynamic_routing) {
@@ -217,7 +220,8 @@ Transfer LinkContentionModel::transfer(int src_node, int dst_node,
       const int shift = static_cast<int>(messages_sent() % topo::kDims);
       for (int i = 0; i < topo::kDims; ++i) order[static_cast<std::size_t>(i)] = (i + shift) % topo::kDims;
     }
-    route = torus_.route_ordered(src_node, dst_node, order);
+    torus_.route_ordered(src_node, dst_node, order, route_);
+    route = route_;
   }
   PGASQ_CHECK(!route.empty());
   if (link_usage_ != nullptr) link_usage_->note_transfer(bytes);

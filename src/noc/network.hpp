@@ -220,7 +220,9 @@ class LinkContentionModel final : public NetworkModel {
   LinkContentionModel(const topo::Torus5D& torus, const BgqParameters& params,
                       const obs::Sinks& sinks = {})
       : NetworkModel(torus, params, sinks),
-        link_free_(static_cast<std::size_t>(torus.num_links()), 0) {}
+        link_free_(static_cast<std::size_t>(torus.num_links()), 0) {
+    route_.reserve(static_cast<std::size_t>(torus.diameter()));
+  }
 
   Transfer transfer(int src_node, int dst_node, std::uint64_t bytes, Time start,
                     TransferOptions opts = {}) override;
@@ -230,6 +232,8 @@ class LinkContentionModel final : public NetworkModel {
 
  private:
   std::vector<Time> link_free_;
+  /// The healthy route of the transfer in hand, walked in place.
+  std::vector<topo::Link> route_;
 };
 
 /// Factory keyed by name ("loggp" | "contention").

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -12,6 +13,7 @@
 extern "C" void pgasq_sim_switch_stacks(void** save, void* load);
 
 #if PGASQ_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
                                     std::size_t size);
@@ -68,18 +70,92 @@ Engine::Engine(const obs::Sinks& sinks)
                                            obs::Timeline::Kind::kCounter)) {}
 
 Engine::~Engine() {
-  // Drain the heap; Event objects are heap-allocated.
-  while (!queue_.empty()) {
-    delete queue_.top();
-    queue_.pop();
+  // Free slots are poisoned; the chunks' destructors read every slot.
+#if PGASQ_ASAN_FIBERS
+  for (const auto& chunk : closure_chunks_) {
+    ASAN_UNPOISON_MEMORY_REGION(chunk.get(), kClosureChunk * sizeof(Closure));
   }
+#endif
+}
+
+void Engine::push(Time t, EventId id, const void* target, Payload kind) {
+  static_assert(alignof(Fiber) > kPayloadMask && alignof(IdlePoll) > kPayloadMask &&
+                alignof(Closure) > kPayloadMask);
+  const Entry e{t, id, reinterpret_cast<std::uintptr_t>(target) | kind};
+  std::size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!fires_before(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+Engine::Entry Engine::pop() {
+  const Entry top = heap_.front();
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (fires_before(heap_[c], heap_[best])) best = c;
+    }
+    if (!fires_before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+  return top;
+}
+
+Engine::Closure& Engine::acquire_closure(std::function<void()> fn) {
+  if (free_closures_ == nullptr) {
+    auto chunk = std::make_unique<Closure[]>(kClosureChunk);
+    const auto base = static_cast<std::uint32_t>(closure_chunks_.size() * kClosureChunk);
+    for (std::size_t i = kClosureChunk; i-- > 0;) {
+      Closure& c = chunk[i];
+      c.index = base + static_cast<std::uint32_t>(i);
+      c.next_free = free_closures_;
+      free_closures_ = &c;
+#if PGASQ_ASAN_FIBERS
+      ASAN_POISON_MEMORY_REGION(&c.fn, sizeof(c.fn));
+#endif
+    }
+    closure_chunks_.push_back(std::move(chunk));
+  }
+  Closure& c = *std::exchange(free_closures_, free_closures_->next_free);
+#if PGASQ_ASAN_FIBERS
+  ASAN_UNPOISON_MEMORY_REGION(&c.fn, sizeof(c.fn));
+#endif
+  c.fn = std::move(fn);
+  c.cancelled = false;
+  return c;
+}
+
+void Engine::release_closure(Closure* c) {
+  if (c == nullptr) return;
+  c->fn = nullptr;
+#if PGASQ_ASAN_FIBERS
+  ASAN_POISON_MEMORY_REGION(&c->fn, sizeof(c->fn));
+#endif
+  c->next_free = free_closures_;
+  free_closures_ = c;
 }
 
 EventId Engine::schedule_at(Time t, std::function<void()> fn) {
   PGASQ_CHECK(t >= now_, << "event scheduled in the past: t=" << t << " now=" << now_);
-  const EventId id = next_event_id_++;
-  queue_.push(new Event{t, id, std::move(fn)});
-  return id;
+  Closure& c = acquire_closure(std::move(fn));
+  push(t, next_event_id_++, &c, kRunClosure);
+  // Slot numbers start at 1 in the handle, so no handle is kInvalidEvent.
+  return (EventId{c.generation} << 32) | (EventId{c.index} + 1);
 }
 
 EventId Engine::schedule_after(Time delay, std::function<void()> fn) {
@@ -88,8 +164,13 @@ EventId Engine::schedule_after(Time delay, std::function<void()> fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  if (id == kInvalidEvent || id >= next_event_id_) return false;
-  return cancelled_.insert(id).second;
+  const EventId slot = id & 0xffffffffu;
+  if (slot == 0 || slot > closure_chunks_.size() * kClosureChunk) return false;
+  Closure& c = closure_chunks_[(slot - 1) / kClosureChunk][(slot - 1) % kClosureChunk];
+  if (c.generation != id >> 32 || c.cancelled) return false;
+  c.cancelled = true;
+  ++cancelled_pending_;
+  return true;
 }
 
 Fiber& Engine::spawn(std::string name, std::function<void()> body,
@@ -148,39 +229,60 @@ void Engine::run() {
 }
 
 Fiber* Engine::dispatch(Fiber* ended) {
-  Event* ev = nullptr;
+  Closure* closure = nullptr;
   try {
     if (ended != nullptr) {
-      ev = std::exchange(slice_event_, nullptr);
+      closure = std::exchange(slice_event_, nullptr);
       if (trace_ != nullptr && ended->trace_track_ != 0xffffffffu) {
         trace_->end_slice(ended->trace_track_, now_);
       }
       ended->check_canary();
-      delete std::exchange(ev, nullptr);
+      release_closure(std::exchange(closure, nullptr));
     }
-    while (!pending_exception_ && !queue_.empty()) {
-      ev = queue_.top();
-      queue_.pop();
-      if (cancelled_.empty() || cancelled_.erase(ev->id) == 0) {
-        PGASQ_CHECK(ev->time >= now_);
-        now_ = ev->time;
-        ++events_processed_;
-        timeline_->sample(tl_queue_depth_, now_, static_cast<double>(queue_.size()));
-        ev->fn();
-        if (Fiber* fiber = std::exchange(woken_, nullptr)) {
-          // Callbacks may have run on `ended`'s stack too.
-          if (ended != nullptr) ended->check_canary();
-          switch_in(*fiber);
-          slice_event_ = ev;
-          return fiber;
+    while (!pending_exception_ && !heap_.empty()) {
+      const Entry ev = pop();
+      const auto kind = static_cast<Payload>(ev.payload & kPayloadMask);
+      void* target = reinterpret_cast<void*>(ev.payload & ~kPayloadMask);
+      if (kind == kRunClosure) {
+        closure = static_cast<Closure*>(target);
+        ++closure->generation;  // the handle is stale from here on
+        if (closure->cancelled) {
+          --cancelled_pending_;
+          release_closure(std::exchange(closure, nullptr));
+          continue;
         }
       }
-      delete ev;
-      ev = nullptr;
+      PGASQ_CHECK(ev.time >= now_);
+      now_ = ev.time;
+      ++events_processed_;
+      timeline_->sample(tl_queue_depth_, now_, static_cast<double>(heap_.size()));
+      switch (kind) {
+        case kRunClosure:
+          closure->fn();
+          break;
+        case kWakeSleeper:
+          static_cast<Fiber*>(target)->state_ = Fiber::State::kReady;
+          woken_ = static_cast<Fiber*>(target);
+          break;
+        case kWakeResumed:
+          woken_ = static_cast<Fiber*>(target);
+          break;
+        case kWakePoll:
+          poll_wake(*static_cast<IdlePoll*>(target));
+          break;
+      }
+      if (Fiber* fiber = std::exchange(woken_, nullptr)) {
+        // Callbacks may have run on `ended`'s stack too.
+        if (ended != nullptr) ended->check_canary();
+        switch_in(*fiber);
+        slice_event_ = closure;
+        return fiber;
+      }
+      release_closure(std::exchange(closure, nullptr));
     }
     if (ended != nullptr) ended->check_canary();
   } catch (...) {
-    delete ev;
+    release_closure(closure);
     set_pending_exception(std::current_exception());
   }
   return nullptr;
@@ -192,10 +294,7 @@ void Engine::sleep_for(Time delay) {
   PGASQ_CHECK(self != nullptr, << "sleep_for outside a fiber");
   // The fiber is still kRunning here; it becomes kBlocked in
   // block_current() below, before the wake event can possibly fire.
-  schedule_after(delay, [this, self] {
-    self->state_ = Fiber::State::kReady;
-    woken_ = self;
-  });
+  push(now_ + delay, next_event_id_++, self, kWakeSleeper);
   block_current(Fiber::State::kBlocked);
 }
 
@@ -272,8 +371,7 @@ void Engine::poke(IdlePoll& poll) {
 void Engine::schedule_poll_wake(IdlePoll& poll, Time t) {
   PGASQ_CHECK(t > now_ || (t == now_ && !(poll_cursor_time_ == now_ &&
                                           poll.ticket <= poll_cursor_ticket_)));
-  // A two-pointer closure, kept inline by std::function like sleep_for's.
-  queue_.push(new Event{t, kPollWake | poll.ticket, [this, p = &poll] { poll_wake(*p); }});
+  push(t, kPollWake | poll.ticket, &poll, kWakePoll);
 }
 
 void Engine::poll_wake(IdlePoll& poll) {
@@ -303,8 +401,9 @@ void Engine::resume(Fiber& fiber, Time delay) {
   PGASQ_CHECK(fiber.state() == Fiber::State::kBlocked,
               << "resume of fiber '" << fiber.name() << "' in state "
               << static_cast<int>(fiber.state()));
+  PGASQ_CHECK(delay >= 0, << "negative delay " << delay);
   fiber.state_ = Fiber::State::kReady;
-  schedule_after(delay, [this, f = &fiber] { woken_ = f; });
+  push(now_ + delay, next_event_id_++, &fiber, kWakeResumed);
 }
 
 void Engine::set_pending_exception(std::exception_ptr e) {

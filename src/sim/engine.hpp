@@ -1,11 +1,23 @@
 // Discrete-event simulation engine.
 //
 // A single Engine owns virtual time, a priority queue of events, and
-// every fiber. Events fire in (time, insertion-sequence) order, so runs
-// are bit-reproducible. Fibers interact with the engine through the
+// every fiber. Events fire in (time, id) order, so runs are
+// bit-reproducible: an ordinary event's id is its insertion sequence
+// number (FIFO among same-time events), a poll wake's is kPollWake
+// plus its loop's ticket. Fibers interact with the engine through the
 // blocking primitives sleep_for / suspend / resume; everything higher
 // up (network delivery, PAMI progress, ARMCI protocols) is expressed
 // as events and fiber wakeups.
+//
+// Event storage: the queue is a 4-ary heap of 24-byte entries that
+// carry their key (time, id) inline with a tagged payload, so a
+// comparison touches no other memory. A fiber wake (sleep_for, resume)
+// or a poll wake carries its Fiber* or IdlePoll* and allocates
+// nothing. A closure event (schedule_at) keeps its std::function in a
+// slot of an engine-owned pool, recycled through a free list; cancel
+// flags the slot and the popped entry is skipped. The free slot's
+// function storage is poisoned under AddressSanitizer, so a stale use
+// of a fired event is reported.
 //
 // Poll-instant rule: the wakes of idle poll loops (poll_idle) are a
 // second class of event. At one instant they run after every ordinary
@@ -24,13 +36,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/sinks.hpp"
@@ -40,7 +49,8 @@
 
 namespace pgasq::sim {
 
-/// Identifier for a scheduled event; usable with cancel().
+/// Handle of a scheduled closure event, for cancel(): its pool slot
+/// and that slot's generation (not the event's order key).
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
@@ -78,11 +88,9 @@ class Engine {
   EventId schedule_at(Time t, std::function<void()> fn);
   /// Schedules `fn` after a relative delay (must be >= 0).
   EventId schedule_after(Time delay, std::function<void()> fn);
-  /// Cancels a pending event. Returns false if it was already
-  /// cancelled. The engine keeps no record of fired events, so callers
-  /// must cancel only an event they know is pending: cancelling one
-  /// that already fired returns true and leaves its id in
-  /// cancelled_pending() for good.
+  /// Cancels a pending event. Returns false, and does nothing, if it
+  /// was already cancelled or has fired (its slot's generation moved on
+  /// when it was popped).
   bool cancel(EventId id);
 
   /// Creates a fiber and marks it runnable at the current time.
@@ -150,8 +158,8 @@ class Engine {
   /// switch, none when a fiber wakes itself, plus one out of each
   /// finished fiber and one into and out of each run().
   std::uint64_t stack_switches() const { return stack_switches_; }
-  /// Cancelled ids not yet popped from the queue (diagnostics).
-  std::size_t cancelled_pending() const { return cancelled_.size(); }
+  /// Cancelled events not yet popped from the queue (diagnostics).
+  std::size_t cancelled_pending() const { return cancelled_pending_; }
 
   /// Fibers spawned after this whose name matches `pred` get a muted
   /// trace track (their slices are dropped at record time). Used by
@@ -169,21 +177,46 @@ class Engine {
   void asan_finish_switch(Fiber* to);
 
  private:
-  struct Event {
-    Time time;
-    EventId id;
+  /// A closure event's pool slot. `fn` comes first so that ASan can
+  /// poison it alone while the slot is free.
+  struct Closure {
     std::function<void()> fn;
+    Closure* next_free = nullptr;
+    std::uint32_t index = 0;       ///< slot number; the handle's low half
+    std::uint32_t generation = 0;  ///< the handle's high half; bumped on pop
+    bool cancelled = false;
   };
-  struct EventOrder {
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->id > b->id;  // FIFO among same-time events, poll wakes last
-    }
+  /// Slots per pool chunk. The size is a heap-layout pin (DESIGN.md
+  /// §5): with 64, 256, 512 or 1024 the chunks move a per-task buffer
+  /// of perfbench's SCF mirror onto a different registration than
+  /// apps::run_scf's, and the mirror check's virtual walls differ.
+  static constexpr std::size_t kClosureChunk = 128;
+
+  /// What a heap entry fires, in the low two bits of its payload word.
+  enum Payload : std::uintptr_t {
+    kRunClosure = 0,    ///< Closure*
+    kWakeSleeper = 1,   ///< Fiber* blocked in sleep_for: made ready here
+    kWakeResumed = 2,   ///< Fiber* already made ready by resume()
+    kWakePoll = 3,      ///< IdlePoll*
   };
+  static constexpr std::uintptr_t kPayloadMask = 3;
+  struct Entry {
+    Time time;
+    EventId id;  ///< order key: sequence number, or kPollWake | ticket
+    std::uintptr_t payload;
+  };
+  static bool fires_before(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
+  }
 
   /// Poll wakes sort after every ordinary event of their instant: their
   /// ids are this bit plus the loop's ticket.
   static constexpr EventId kPollWake = EventId{1} << 63;
+
+  void push(Time t, EventId id, const void* target, Payload kind);
+  Entry pop();
+  Closure& acquire_closure(std::function<void()> fn);
+  void release_closure(Closure* c);
 
   /// Runs the event loop on the calling stack. `ended` is the fiber
   /// whose slice just ended (nullptr when there is none). Returns
@@ -213,10 +246,12 @@ class Engine {
   std::uint64_t poll_cursor_ticket_ = 0;
   /// Parked poll loops, for the deadlock diagnostic.
   IdlePoll* parked_ = nullptr;
-  std::priority_queue<Event*, std::vector<Event*>, EventOrder> queue_;
-  // Cancelled events stay in the heap and are skipped on pop; the flag
-  // lives in this set keyed by id.
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, id)
+  /// Closure slots, in chunks whose addresses never move.
+  std::vector<std::unique_ptr<Closure[]>> closure_chunks_;
+  Closure* free_closures_ = nullptr;
+  /// Cancelled events stay in the heap, flagged, and are skipped on pop.
+  std::size_t cancelled_pending_ = 0;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::size_t live_fibers_ = 0;
   Fiber* current_ = nullptr;
@@ -224,9 +259,9 @@ class Engine {
   void* scheduler_sp_ = nullptr;
   bool running_ = false;
   std::exception_ptr pending_exception_;
-  /// The event that switched in the running fiber; freed when its
-  /// slice ends, as if the switch had happened inside the event.
-  Event* slice_event_ = nullptr;
+  /// The closure event that switched in the running fiber; released
+  /// when its slice ends, as if the switch had happened inside it.
+  Closure* slice_event_ = nullptr;
   /// Set by a wake callback: the fiber its event switches in.
   Fiber* woken_ = nullptr;
   /// Set by a finishing fiber for run(), which ends its slice.

@@ -4,11 +4,25 @@
 
 namespace pgasq::sim {
 
+void WaitQueue::link(Waiter& w) {
+  w.prev = tail_;
+  (tail_ != nullptr ? tail_->next : head_) = &w;
+  tail_ = &w;
+  ++waiting_;
+}
+
+void WaitQueue::unlink(Waiter& w) {
+  (w.prev != nullptr ? w.prev->next : head_) = w.next;
+  (w.next != nullptr ? w.next->prev : tail_) = w.prev;
+  w.prev = w.next = nullptr;
+  --waiting_;
+}
+
 void WaitQueue::wait() {
   Fiber* self = engine_.current();
   PGASQ_CHECK(self != nullptr, << "WaitQueue::wait outside a fiber");
   Waiter w{self};
-  waiters_.push_back(&w);
+  link(w);
   engine_.suspend();
   PGASQ_CHECK(w.notified, << "spurious resume of fiber waiting on queue");
 }
@@ -17,37 +31,31 @@ bool WaitQueue::wait_until(Time deadline) {
   Fiber* self = engine_.current();
   PGASQ_CHECK(self != nullptr, << "WaitQueue::wait_until outside a fiber");
   Waiter w{self};
-  waiters_.push_back(&w);
+  link(w);
   // Timeout event resumes the fiber unless a notify got there first.
   const EventId timeout = engine_.schedule_at(
       std::max(deadline, engine_.now()), [this, &w] {
-        w.timer_fired = true;
         if (w.notified) return;  // already woken; stale timer
-        for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-          if (*it == &w) {
-            waiters_.erase(it);
-            break;
-          }
-        }
+        unlink(w);
         engine_.resume(*w.fiber);
       });
   engine_.suspend();
-  // Cancel only a still-pending timer: when the notify and the
-  // deadline share an instant the timer may already have fired.
-  if (w.notified && !w.timer_fired) engine_.cancel(timeout);
+  // When the notify and the deadline share an instant the timer may
+  // already have fired; cancelling it then is a no-op.
+  if (w.notified) engine_.cancel(timeout);
   return w.notified;
 }
 
 void WaitQueue::notify_one() {
-  if (waiters_.empty()) return;
-  Waiter* w = waiters_.front();
-  waiters_.pop_front();
+  if (head_ == nullptr) return;
+  Waiter* w = head_;
+  unlink(*w);
   w->notified = true;
   engine_.resume(*w->fiber);
 }
 
 void WaitQueue::notify_all() {
-  while (!waiters_.empty()) notify_one();
+  while (head_ != nullptr) notify_one();
 }
 
 void SimMutex::lock() {

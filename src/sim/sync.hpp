@@ -8,8 +8,8 @@
 // everyone regardless of predicate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 
 #include "sim/engine.hpp"
 #include "util/time_types.hpp"
@@ -31,18 +31,24 @@ class WaitQueue {
   /// Wakes all waiting fibers.
   void notify_all();
 
-  std::size_t waiting() const { return waiters_.size(); }
+  std::size_t waiting() const { return waiting_; }
 
  private:
+  /// Lives on the waiting fiber's stack, linked into the queue in
+  /// arrival order.
   struct Waiter {
     Fiber* fiber;
     bool notified = false;
-    /// wait_until's timeout event has run (it may have found the
-    /// waiter already notified at the same instant).
-    bool timer_fired = false;
+    Waiter* prev = nullptr;
+    Waiter* next = nullptr;
   };
+  void link(Waiter& w);
+  void unlink(Waiter& w);
+
   Engine& engine_;
-  std::deque<Waiter*> waiters_;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+  std::size_t waiting_ = 0;
 };
 
 /// Fiber mutex with contention statistics. Used to model the PAMI

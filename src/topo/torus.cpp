@@ -9,27 +9,30 @@ namespace pgasq::topo {
 
 Torus5D::Torus5D(Coord5 dims) : dims_(dims) {
   num_nodes_ = 1;
-  for (int d = 0; d < kDims; ++d) {
+  for (int d = kDims - 1; d >= 0; --d) {
     PGASQ_CHECK(dims_[d] >= 1, << "torus dim " << d << " = " << dims_[d]);
+    strides_[d] = num_nodes_;
     num_nodes_ *= dims_[d];
+  }
+  // Lexicographic order with A slowest: count up in E first.
+  coords_.resize(static_cast<std::size_t>(num_nodes_));
+  Coord5 c{};
+  for (auto& entry : coords_) {
+    entry = c;
+    for (int d = kDims - 1; d >= 0 && ++c[d] == dims_[d]; --d) c[d] = 0;
   }
 }
 
-Coord5 Torus5D::coord_of(int node) const {
+const Coord5& Torus5D::coord_of(int node) const {
   PGASQ_CHECK(node >= 0 && node < num_nodes_, << "node " << node);
-  Coord5 c{};
-  for (int d = kDims - 1; d >= 0; --d) {
-    c[d] = node % dims_[d];
-    node /= dims_[d];
-  }
-  return c;
+  return coords_[static_cast<std::size_t>(node)];
 }
 
 int Torus5D::node_of(const Coord5& c) const {
   int node = 0;
   for (int d = 0; d < kDims; ++d) {
     PGASQ_CHECK(c[d] >= 0 && c[d] < dims_[d], << "coord[" << d << "] = " << c[d]);
-    node = node * dims_[d] + c[d];
+    node += c[d] * strides_[d];
   }
   return node;
 }
@@ -47,8 +50,8 @@ int wrap_delta(int from, int to, int size) {
 }  // namespace
 
 int Torus5D::hop_distance(int a, int b) const {
-  const Coord5 ca = coord_of(a);
-  const Coord5 cb = coord_of(b);
+  const Coord5& ca = coord_of(a);
+  const Coord5& cb = coord_of(b);
   int hops = 0;
   for (int d = 0; d < kDims; ++d) {
     hops += std::abs(wrap_delta(ca[d], cb[d], dims_[d]));
@@ -68,6 +71,14 @@ std::vector<Link> Torus5D::route(int src, int dst) const {
 
 std::vector<Link> Torus5D::route_ordered(
     int src, int dst, const std::array<int, kDims>& dim_order) const {
+  std::vector<Link> links;
+  links.reserve(static_cast<std::size_t>(hop_distance(src, dst)));
+  route_ordered(src, dst, dim_order, links);
+  return links;
+}
+
+void Torus5D::route_ordered(int src, int dst, const std::array<int, kDims>& dim_order,
+                            std::vector<Link>& out) const {
   // Validate the permutation.
   int seen = 0;
   for (int d : dim_order) {
@@ -75,21 +86,30 @@ std::vector<Link> Torus5D::route_ordered(
     seen |= 1 << d;
   }
   PGASQ_CHECK(seen == (1 << kDims) - 1, << "dim_order is not a permutation");
-  const Coord5 cd = coord_of(dst);
-  Coord5 cur = coord_of(src);
-  std::vector<Link> links;
-  links.reserve(static_cast<std::size_t>(hop_distance(src, dst)));
+  const Coord5& cs = coord_of(src);
+  const Coord5& cd = coord_of(dst);
+  out.clear();
+  int node = src;
   for (const int d : dim_order) {
-    int delta = wrap_delta(cur[d], cd[d], dims_[d]);
+    const int size = dims_[d];
+    int c = cs[d];
+    int delta = wrap_delta(c, cd[d], size);
     const int dir = delta >= 0 ? 1 : -1;
     for (; delta != 0; delta -= dir) {
-      Coord5 next = cur;
-      next[d] = (cur[d] + dir + dims_[d]) % dims_[d];
-      links.push_back(Link{node_of(cur), node_of(next), d, dir});
-      cur = next;
+      // One stride along d, or back across the ring at its ends.
+      int step = dir * strides_[d];
+      c += dir;
+      if (c == size) {
+        c = 0;
+        step -= size * strides_[d];
+      } else if (c < 0) {
+        c = size - 1;
+        step += size * strides_[d];
+      }
+      out.push_back(Link{node, node + step, d, dir});
+      node += step;
     }
   }
-  return links;
 }
 
 std::vector<Link> Torus5D::route_avoiding(
@@ -113,7 +133,7 @@ std::vector<Link> Torus5D::route_avoiding(
   while (!frontier.empty() && !found) {
     std::vector<int> next_frontier;
     for (const int node : frontier) {
-      const Coord5 c = coord_of(node);
+      const Coord5& c = coord_of(node);
       for (int d = 0; d < kDims && !found; ++d) {
         if (dims_[d] == 1) continue;
         for (const int dir : {1, -1}) {

@@ -8,6 +8,10 @@
 // route enumeration for the link-contention network model, and the
 // ABCDET process-to-node mapping used throughout the paper's
 // evaluation (S IV, Fig 7).
+//
+// Coordinates come from a per-node table built once, and routes are
+// walked by per-dimension node strides, so neither a hop distance nor
+// a route divides.
 #pragma once
 
 #include <array>
@@ -40,7 +44,7 @@ class Torus5D {
   int num_nodes() const { return num_nodes_; }
 
   /// Node index <-> coordinate, lexicographic with A slowest.
-  Coord5 coord_of(int node) const;
+  const Coord5& coord_of(int node) const;
   int node_of(const Coord5& c) const;
 
   /// Minimal wraparound hop count between two nodes.
@@ -59,6 +63,11 @@ class Torus5D {
   /// `dim_order` must be a permutation of {0..4}.
   std::vector<Link> route_ordered(int src, int dst,
                                   const std::array<int, kDims>& dim_order) const;
+  /// The same route written into `out` (cleared first), which keeps
+  /// its capacity: a caller that reuses one buffer walks routes
+  /// without allocating once it holds diameter() links.
+  void route_ordered(int src, int dst, const std::array<int, kDims>& dim_order,
+                     std::vector<Link>& out) const;
 
   /// Fault-tolerant dimension-order route: takes the deterministic
   /// route when none of its links satisfy `blocked`; otherwise finds a
@@ -78,6 +87,10 @@ class Torus5D {
  private:
   Coord5 dims_;
   int num_nodes_;
+  /// Node-index distance of one step along each dimension.
+  Coord5 strides_;
+  /// coords_[node] is coord_of(node).
+  std::vector<Coord5> coords_;
 };
 
 /// Standard BG/Q partition shapes for power-of-two node counts

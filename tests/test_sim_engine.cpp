@@ -3,8 +3,13 @@
 
 #include <algorithm>
 #include <cfenv>
+#include <cstdlib>
 #include <functional>
+#include <new>
+#include <queue>
+#include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,6 +17,37 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
+
+// Counting replacements of the global allocation functions, for
+// Engine.WakesDoNotAllocate. They replace every form that pairs with
+// plain delete, so sanitizer runtimes see malloc/free on both sides.
+namespace {
+bool g_count_news = false;
+std::uint64_t g_news = 0;
+void* counted_new(std::size_t n) {
+  if (g_count_news) ++g_news;
+  return std::malloc(n == 0 ? 1 : n);
+}
+// Out of line, so the compiler does not see free() paired with new.
+[[gnu::noinline]] void counted_delete(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_new(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_new(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n); }
+void operator delete(void* p) noexcept { counted_delete(p); }
+void operator delete[](void* p) noexcept { counted_delete(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
 
 namespace pgasq::sim {
 namespace {
@@ -69,6 +105,213 @@ TEST(Engine, NestedScheduling) {
   engine.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(engine.now(), 4);
+}
+
+// A seeded program of closure events (heavy same-time ties, zero
+// delays, nested scheduling, cancels) beside three stepped poll loops,
+// run on the engine and on a reference std::priority_queue keyed on
+// (time, id). Ordinary ids count every schedule_at, sleep_for and
+// resume in call order; a poll wake's id is its ticket under the top
+// bit. Both must fire the same events in the same order.
+struct OrderProgram {
+  static constexpr int kBudget = 20000;
+  static constexpr int kPolls = 3;
+  static constexpr Time kFirst[kPolls] = {3, 1, 2};
+  static constexpr Time kSecond[kPolls] = {2, 4, 2};
+  static constexpr Time kHorizon = 60;
+  // Log entries: a closure's label, kPollLabel + loop, or a cancel's
+  // victim label and verdict.
+  static constexpr long kPollLabel = 1'000'000;
+  static constexpr long kStartLabel = 2'000'000;
+
+  std::mt19937_64 rng{12345};
+  int next_label = 0;
+  std::vector<std::uint64_t> handles;  // by label
+  std::vector<std::pair<Time, long>> log;
+  std::function<std::uint64_t(Time, int)> schedule;
+  std::function<bool(std::uint64_t)> cancel;
+  std::function<Time()> now;
+
+  void add(Time t) {
+    const int label = next_label++;
+    handles.push_back(schedule(t, label));
+  }
+  void seed_events() {
+    for (int i = 0; i < 50; ++i) add(static_cast<Time>(rng() % 20));
+  }
+  void fire(int label) {
+    log.emplace_back(now(), label);
+    constexpr Time kDelays[] = {0, 0, 1, 2, 5};
+    const int kids = static_cast<int>(rng() % 4);
+    for (int k = 0; k < kids && next_label < kBudget; ++k) add(now() + kDelays[rng() % 5]);
+    if (rng() % 4 == 0) {
+      const auto victim = static_cast<std::size_t>(rng() % handles.size());
+      const bool ok = cancel(handles[victim]);
+      log.emplace_back(now(), -2 * static_cast<long>(victim) - (ok ? 1 : 2));
+    }
+  }
+};
+
+std::vector<std::pair<Time, long>> run_order_on_engine(std::uint64_t* events) {
+  obs::Timeline timeline(1_us, 8);  // enabled: the poll loops step
+  obs::Sinks sinks;
+  sinks.timeline = &timeline;
+  Engine engine(sinks);
+  OrderProgram prog;
+  prog.schedule = [&](Time t, int label) {
+    return engine.schedule_at(t, [&prog, label] { prog.fire(label); });
+  };
+  prog.cancel = [&](std::uint64_t h) { return engine.cancel(h); };
+  prog.now = [&] { return engine.now(); };
+  for (int p = 0; p < OrderProgram::kPolls; ++p) {
+    engine.spawn("poll" + std::to_string(p), [&, p] {
+      prog.log.emplace_back(engine.now(), OrderProgram::kStartLabel + p);
+      const std::function<bool(int)> idle = [&, p](int) {
+        prog.log.emplace_back(engine.now(), OrderProgram::kPollLabel + p);
+        return engine.now() < OrderProgram::kHorizon;
+      };
+      IdlePoll* slot = nullptr;
+      engine.poll_idle(OrderProgram::kFirst[p], OrderProgram::kSecond[p],
+                       engine.poll_ticket(), idle, slot);
+    });
+  }
+  prog.seed_events();
+  engine.run();
+  *events = engine.events_processed();
+  return prog.log;
+}
+
+std::vector<std::pair<Time, long>> run_order_on_reference(std::uint64_t* events) {
+  constexpr std::uint64_t kPollBit = std::uint64_t{1} << 63;
+  // (time, id, what, phase): what >= 0 is a closure label, else a
+  // poll loop's start (-1 - p) or wake (-100 - p).
+  using Key = std::tuple<Time, std::uint64_t, long, int>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> queue;
+  std::vector<bool> cancelled;
+  std::vector<bool> done;
+  std::uint64_t next_id = 1;
+  std::uint64_t next_ticket = 0;
+  std::uint64_t tickets[OrderProgram::kPolls] = {};
+  Time now = 0;
+  OrderProgram prog;
+  prog.schedule = [&](Time t, int label) {
+    queue.emplace(t, next_id++, label, 0);
+    cancelled.push_back(false);
+    done.push_back(false);
+    return static_cast<std::uint64_t>(label);
+  };
+  prog.cancel = [&](std::uint64_t h) {
+    if (done[h] || cancelled[h]) return false;
+    cancelled[h] = true;
+    return true;
+  };
+  prog.now = [&] { return now; };
+  for (int p = 0; p < OrderProgram::kPolls; ++p) queue.emplace(0, next_id++, -1 - p, 0);
+  prog.seed_events();
+  *events = 0;
+  while (!queue.empty()) {
+    const auto [t, id, what, phase] = queue.top();
+    queue.pop();
+    if (what >= 0) {
+      done[static_cast<std::size_t>(what)] = true;
+      if (cancelled[static_cast<std::size_t>(what)]) continue;
+    }
+    now = t;
+    ++*events;
+    if (what >= 0) {
+      prog.fire(static_cast<int>(what));
+    } else if (what > -100) {
+      const int p = static_cast<int>(-1 - what);
+      prog.log.emplace_back(now, OrderProgram::kStartLabel + p);
+      tickets[p] = next_ticket++;
+      queue.emplace(now + OrderProgram::kFirst[p], kPollBit | tickets[p], what - 99, 0);
+    } else {
+      const int p = static_cast<int>(-100 - what);
+      prog.log.emplace_back(now, OrderProgram::kPollLabel + p);
+      if (now >= OrderProgram::kHorizon) continue;
+      const Time step = phase == 0 ? OrderProgram::kSecond[p] : OrderProgram::kFirst[p];
+      queue.emplace(now + step, kPollBit | tickets[p], what, phase ^ 1);
+    }
+  }
+  return prog.log;
+}
+
+TEST(Engine, HeapOrderMatchesReference) {
+  std::uint64_t engine_events = 0;
+  std::uint64_t reference_events = 0;
+  const auto got = run_order_on_engine(&engine_events);
+  const auto want = run_order_on_reference(&reference_events);
+  ASSERT_GT(want.size(), 20000u);
+  EXPECT_EQ(engine_events, reference_events);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "entry " << i;
+  }
+  // The program exercised what it is meant to: same-time ties with
+  // poll wakes, and cancels that hit and that miss.
+  const auto count = [&](auto pred) { return std::count_if(want.begin(), want.end(), pred); };
+  EXPECT_GT(count([](const auto& e) { return e.second >= OrderProgram::kPollLabel &&
+                                             e.second < OrderProgram::kStartLabel; }),
+            30);
+  EXPECT_GT(count([](const auto& e) { return e.second < 0 && e.second % 2 != 0; }), 100);
+  EXPECT_GT(count([](const auto& e) { return e.second < 0 && e.second % 2 == 0; }), 100);
+}
+
+// Once the heap and the closure pool have grown, fiber wakes (sleep_for,
+// resume) and small closures cycle without touching the allocator.
+TEST(Engine, WakesDoNotAllocate) {
+  constexpr int kWarm = 64;
+  constexpr int kCycles = 10000;
+  Engine engine;
+  int hits = 0;
+  Fiber& waiter = engine.spawn("waiter", [&] {
+    for (int i = 0; i < kWarm + kCycles; ++i) engine.suspend();
+  });
+  engine.spawn("waker", [&] {
+    for (int i = 0; i < kWarm + kCycles; ++i) {
+      if (i == kWarm) g_count_news = true;
+      engine.resume(waiter);
+      engine.schedule_after(0, [&hits] { ++hits; });
+      engine.sleep_for(1);
+    }
+    g_count_news = false;
+  });
+  // The counter sees an allocation.
+  g_news = 0;
+  g_count_news = true;
+  int* volatile probe = new int(1);
+  g_count_news = false;
+  delete probe;
+  EXPECT_EQ(g_news, 1u);
+  g_news = 0;
+  engine.run();
+  g_count_news = false;
+  EXPECT_EQ(g_news, 0u);
+  EXPECT_EQ(hits, kWarm + kCycles);
+  EXPECT_EQ(engine.fiber_switches(), 2u * (kWarm + kCycles) + 2);
+}
+
+// A cancelled event is skipped when popped; a handle outlives its event
+// and cancels nothing once the event fired, even after its pool slot
+// is reused.
+TEST(Engine, CancelOfFiredEventIsANoOp) {
+  Engine engine;
+  int fired = 0;
+  const EventId first = engine.schedule_at(1, [&] { ++fired; });
+  const EventId doomed = engine.schedule_at(2, [&] { fired += 100; });
+  EXPECT_TRUE(engine.cancel(doomed));
+  EXPECT_FALSE(engine.cancel(doomed));
+  EXPECT_EQ(engine.cancelled_pending(), 1u);
+  engine.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  const EventId reused = engine.schedule_at(3, [&] { fired += 10; });
+  EXPECT_FALSE(engine.cancel(first));
+  EXPECT_FALSE(engine.cancel(doomed));
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  engine.run();
+  EXPECT_EQ(fired, 11);
+  EXPECT_FALSE(engine.cancel(reused));
 }
 
 TEST(Fiber, SleepAdvancesVirtualTime) {

@@ -1,6 +1,7 @@
 // Unit tests for fiber synchronization primitives.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/sync.hpp"
@@ -83,6 +84,39 @@ TEST(WaitQueue, WaitUntilNotifiedAtTheDeadlineInstant) {
   EXPECT_EQ(woke, 100);
   EXPECT_EQ(q.waiting(), 0u);
   EXPECT_EQ(engine.cancelled_pending(), 0u);
+}
+
+// The middle of three waiters times out: the queue unlinks it and
+// still wakes the other two in arrival order.
+TEST(WaitQueue, TimeoutOfMiddleWaiterKeepsFifoOrder) {
+  Engine engine;
+  WaitQueue q(engine);
+  std::vector<std::pair<int, Time>> woke;
+  bool middle_notified = true;
+  engine.spawn("w0", [&] {
+    q.wait();
+    woke.emplace_back(0, engine.now());
+  });
+  engine.spawn("w1", [&] {
+    middle_notified = q.wait_until(50);
+    woke.emplace_back(1, engine.now());
+  });
+  engine.spawn("w2", [&] {
+    q.wait();
+    woke.emplace_back(2, engine.now());
+  });
+  engine.spawn("n", [&] {
+    engine.sleep_for(100);
+    EXPECT_EQ(q.waiting(), 2u);
+    q.notify_one();
+    EXPECT_EQ(q.waiting(), 1u);
+    engine.sleep_for(10);
+    q.notify_one();
+    EXPECT_EQ(q.waiting(), 0u);
+  });
+  engine.run();
+  EXPECT_FALSE(middle_notified);
+  EXPECT_EQ(woke, (std::vector<std::pair<int, Time>>{{1, 50}, {0, 100}, {2, 110}}));
 }
 
 TEST(SimMutex, MutualExclusionAndStats) {

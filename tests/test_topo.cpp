@@ -2,7 +2,9 @@
 // shapes, and the ABCDET rank mapping.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "topo/torus.hpp"
 #include "util/error.hpp"
@@ -91,6 +93,64 @@ TEST(Torus, OrderedRoutesAreMinimalForAnyPermutation) {
     }
   }
   EXPECT_THROW(torus.route_ordered(0, 1, {0, 1, 2, 3, 3}), Error);
+}
+
+// The stride walk against a walk over coordinates decoded by division:
+// every pair, every rotation of the dimension order (as the contention
+// model's dynamic routing uses), on shapes with dims of 1 and 2. One
+// buffer serves every walk.
+TEST(Torus, RouteWalkMatchesCoordinateReference) {
+  const Coord5 shapes[] = {{1, 1, 1, 1, 1}, {2, 1, 3, 1, 2}, {4, 2, 1, 3, 2},
+                           {5, 1, 2, 4, 1}, {2, 2, 2, 2, 2}};
+  std::vector<Link> walked;
+  for (const Coord5& dims : shapes) {
+    const Torus5D torus(dims);
+    const auto decode = [&](int node) {
+      Coord5 c{};
+      for (int d = kDims - 1; d >= 0; --d) {
+        c[d] = node % dims[d];
+        node /= dims[d];
+      }
+      return c;
+    };
+    const auto encode = [&](const Coord5& c) {
+      int node = 0;
+      for (int d = 0; d < kDims; ++d) node = node * dims[d] + c[d];
+      return node;
+    };
+    for (int shift = 0; shift < kDims; ++shift) {
+      std::array<int, kDims> order{};
+      for (int i = 0; i < kDims; ++i) order[static_cast<std::size_t>(i)] = (i + shift) % kDims;
+      for (int a = 0; a < torus.num_nodes(); ++a) {
+        for (int b = 0; b < torus.num_nodes(); ++b) {
+          std::vector<Link> want;
+          Coord5 cur = decode(a);
+          const Coord5 to = decode(b);
+          for (const int d : order) {
+            const int fwd = (to[d] - cur[d] + dims[d]) % dims[d];
+            const int dir = fwd <= dims[d] - fwd ? 1 : -1;
+            for (int n = dir > 0 ? fwd : dims[d] - fwd; n > 0; --n) {
+              Coord5 next = cur;
+              next[d] = (cur[d] + dir + dims[d]) % dims[d];
+              want.push_back(Link{encode(cur), encode(next), d, dir});
+              cur = next;
+            }
+          }
+          torus.route_ordered(a, b, order, walked);
+          ASSERT_EQ(walked.size(), want.size()) << torus.to_string() << ' ' << a << "->" << b;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(walked[i].from_node, want[i].from_node);
+            EXPECT_EQ(walked[i].to_node, want[i].to_node);
+            EXPECT_EQ(walked[i].dim, want[i].dim);
+            EXPECT_EQ(walked[i].dir, want[i].dir);
+          }
+          EXPECT_EQ(static_cast<int>(want.size()), torus.hop_distance(a, b));
+          EXPECT_EQ(torus.coord_of(a), decode(a));
+          EXPECT_EQ(torus.node_of(decode(a)), a);
+        }
+      }
+    }
+  }
 }
 
 TEST(Torus, LinkIndexUniqueInBounds) {
