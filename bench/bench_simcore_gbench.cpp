@@ -90,8 +90,20 @@ void BM_FiberRing(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberRing)->Arg(1024);
 
-// Walks routes into one reused buffer, as the contention model does.
 void BM_TorusRoute(benchmark::State& state) {
+  topo::Torus5D torus(topo::bgq_partition_dims(512));
+  int a = 0;
+  for (auto _ : state) {
+    a = (a + 97) % torus.num_nodes();
+    const int b = (a * 31 + 7) % torus.num_nodes();
+    benchmark::DoNotOptimize(torus.route(a, b));
+  }
+}
+BENCHMARK(BM_TorusRoute);
+
+// The same routes walked into one reused buffer, as the contention
+// model does.
+void BM_TorusRouteInto(benchmark::State& state) {
   topo::Torus5D torus(topo::bgq_partition_dims(512));
   std::vector<topo::Link> route;
   int a = 0;
@@ -102,7 +114,7 @@ void BM_TorusRoute(benchmark::State& state) {
     benchmark::DoNotOptimize(route.data());
   }
 }
-BENCHMARK(BM_TorusRoute);
+BENCHMARK(BM_TorusRouteInto);
 
 void BM_SmallWorldPingPong(benchmark::State& state) {
   for (auto _ : state) {

@@ -186,10 +186,13 @@ class Engine {
     std::uint32_t generation = 0;  ///< the handle's high half; bumped on pop
     bool cancelled = false;
   };
-  /// Slots per pool chunk. The size is a heap-layout pin (DESIGN.md
-  /// §5): with 64, 256, 512 or 1024 the chunks move a per-task buffer
-  /// of perfbench's SCF mirror onto a different registration than
-  /// apps::run_scf's, and the mirror check's virtual walls differ.
+  /// Slots per pool chunk. Not a tuned size but a heap-layout pin
+  /// (DESIGN.md §5, ROADMAP direction 2): perfbench's SCF mirror check,
+  /// and with it the scf workload's correctness, passes at 128 by
+  /// layout luck. With 64, 256, 512 or 1024 the chunks move a per-task
+  /// buffer of the mirror onto a different registration than
+  /// apps::run_scf's, and the two virtual walls differ. Free to change
+  /// once registrations no longer depend on heap addresses.
   static constexpr std::size_t kClosureChunk = 128;
 
   /// What a heap entry fires, in the low two bits of its payload word.

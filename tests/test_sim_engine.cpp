@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <cfenv>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <queue>
 #include <random>
 #include <string>
@@ -17,37 +15,6 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
-
-// Counting replacements of the global allocation functions, for
-// Engine.WakesDoNotAllocate. They replace every form that pairs with
-// plain delete, so sanitizer runtimes see malloc/free on both sides.
-namespace {
-bool g_count_news = false;
-std::uint64_t g_news = 0;
-void* counted_new(std::size_t n) {
-  if (g_count_news) ++g_news;
-  return std::malloc(n == 0 ? 1 : n);
-}
-// Out of line, so the compiler does not see free() paired with new.
-[[gnu::noinline]] void counted_delete(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_new(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  if (void* p = counted_new(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n); }
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n); }
-void operator delete(void* p) noexcept { counted_delete(p); }
-void operator delete[](void* p) noexcept { counted_delete(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
 
 namespace pgasq::sim {
 namespace {
@@ -255,40 +222,6 @@ TEST(Engine, HeapOrderMatchesReference) {
             30);
   EXPECT_GT(count([](const auto& e) { return e.second < 0 && e.second % 2 != 0; }), 100);
   EXPECT_GT(count([](const auto& e) { return e.second < 0 && e.second % 2 == 0; }), 100);
-}
-
-// Once the heap and the closure pool have grown, fiber wakes (sleep_for,
-// resume) and small closures cycle without touching the allocator.
-TEST(Engine, WakesDoNotAllocate) {
-  constexpr int kWarm = 64;
-  constexpr int kCycles = 10000;
-  Engine engine;
-  int hits = 0;
-  Fiber& waiter = engine.spawn("waiter", [&] {
-    for (int i = 0; i < kWarm + kCycles; ++i) engine.suspend();
-  });
-  engine.spawn("waker", [&] {
-    for (int i = 0; i < kWarm + kCycles; ++i) {
-      if (i == kWarm) g_count_news = true;
-      engine.resume(waiter);
-      engine.schedule_after(0, [&hits] { ++hits; });
-      engine.sleep_for(1);
-    }
-    g_count_news = false;
-  });
-  // The counter sees an allocation.
-  g_news = 0;
-  g_count_news = true;
-  int* volatile probe = new int(1);
-  g_count_news = false;
-  delete probe;
-  EXPECT_EQ(g_news, 1u);
-  g_news = 0;
-  engine.run();
-  g_count_news = false;
-  EXPECT_EQ(g_news, 0u);
-  EXPECT_EQ(hits, kWarm + kCycles);
-  EXPECT_EQ(engine.fiber_switches(), 2u * (kWarm + kCycles) + 2);
 }
 
 // A cancelled event is skipped when popped; a handle outlives its event
